@@ -27,6 +27,7 @@ from .errors import (
     CosmoQfiError,
     DegenerateParameterError,
     DerivativeStepError,
+    IdentityCheckError,
     IntegrationError,
     PoleError,
     SingularOutcomeError,
@@ -37,7 +38,6 @@ from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
     ProbeState,
-    bound,
     entanglement_entropy,
     probe,
     qfi_eps,
@@ -65,6 +65,7 @@ __all__ = [
     "EstimationResult",
     "FINITE_DIFFERENCE",
     "FrequencySet",
+    "IdentityCheckError",
     "IntegrationConfig",
     "IntegrationError",
     "MatchResult",
@@ -78,7 +79,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "WindowTooSmallError",
-    "bound",
     "classical_fisher",
     "coefficients",
     "dX_deps_analytic",

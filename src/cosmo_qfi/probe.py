@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .bogoliubov import ANALYTIC, excitation_weight
 from .cosmology import ModelParams
+from .errors import IdentityCheckError
 from .qfi import OutcomeDistribution, classical_fisher
 
 DEFAULT_TRIALS = 10**11  # repetition count used for the published bound curves
@@ -86,9 +87,10 @@ def qfi_eps(
         (1+X) (d p0)^2 + ((1+X)/X) (d p1)^2,
 
     and cross-checks it against the simplified (dX)^2 / (X (1+X)^2) before
-    returning; disagreement beyond rounding indicates a broken derivative and
-    raises.  X = 0 returns zero information by convention (the derivative
-    vanishes at least as fast as sqrt(X) there).
+    returning; disagreement beyond rounding (a broken derivative, or the
+    simplified form underflowing) raises IdentityCheckError.  X = 0 returns
+    zero information by convention (the derivative vanishes at least as fast
+    as sqrt(X) there).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -104,7 +106,7 @@ def qfi_eps(
         qfi = (1.0 + X) * dp0 * dp0 + (1.0 + X) / X * dp1 * dp1
         simplified = dX * dX / (X * denom)
         if abs(qfi - simplified) > _IDENTITY_RTOL * max(abs(qfi), abs(simplified)):
-            raise ArithmeticError(
+            raise IdentityCheckError(
                 f"QFI forms disagree: literal={qfi!r} simplified={simplified!r}"
             )
         cfi = classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, dp1)))
@@ -116,13 +118,3 @@ def qfi_eps(
         trials=trials,
         derivative_method=deriv_method,
     )
-
-
-def bound(
-    p: ModelParams,
-    trials: float,
-    deriv_method: str = ANALYTIC,
-    fd_step: float | None = None,
-) -> EstimationResult:
-    """Cramer-Rao bound on the squared error after `trials` repetitions."""
-    return qfi_eps(p, trials=trials, deriv_method=deriv_method, fd_step=fd_step)

@@ -3,13 +3,14 @@
 Sweeps evaluate the estimation figures of merit over a one-dimensional grid
 in any of the three channel parameters; rows carry the entropy column so the
 entanglement comparison falls out of the same pass.  Optimization locates the
-coordinate minimizing the error bound with a dense pre-scan followed by
-bounded scalar refinement inside the best grid cell, so the result can never
-be worse than the scan and unimodality is not assumed.
+coordinate minimizing the error bound with a dense pre-scan, then zooms in by
+re-scanning a finer grid over the two cells around the best point until the
+spacing is at most 1e-6.  The best point seen is kept, so the result can never
+be worse than the pre-scan and unimodality is not assumed.
 
 Grid points are independent; evaluation honors the COSMO_QFI_THREADS
-environment variable (0 or unset means automatic).  Row order and values do
-not depend on the thread count.
+environment variable (0 or unset means automatic; a non-integer value is a
+usage error).  Row order and values do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from scipy.optimize import minimize_scalar
-
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
 from .errors import CosmoQfiError
@@ -29,6 +28,7 @@ from .probe import DEFAULT_TRIALS, EstimationResult, qfi_eps, state_entropy, pro
 SWEEP_VARIABLES = ("m_tilde", "k_tilde", "eps")
 
 _PRESCAN_POINTS = 1000
+_ZOOM_POINTS = 21  # odd, so each zoom grid is centred on the best point so far
 _REFINE_XATOL = 1e-6
 
 
@@ -93,11 +93,11 @@ def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("COSMO_QFI_THREADS", "0")
+    raw = os.environ.get("COSMO_QFI_THREADS") or "0"
     try:
         n = int(raw)
     except ValueError:
-        n = 0
+        raise ValueError(f"COSMO_QFI_THREADS must be an integer, got {raw!r}") from None
     if n <= 0:
         n = min(8, os.cpu_count() or 1)
     return n
@@ -154,11 +154,12 @@ def optimize(
 ) -> OptimumResult:
     """Coordinate in [lo, hi] minimizing the error bound.
 
-    A dense pre-scan guards against local traps; bounded scalar minimization
-    (golden section with parabolic steps) then refines inside the bracket of
-    the best scan point to 1e-6 absolute in the coordinate.  The refined
-    point is discarded if it fails to beat the scan.  boundary_warning is set
-    when the optimum lies within one scan cell of either end.
+    A dense pre-scan guards against local traps; the two cells around the
+    best point seen are then re-scanned on a finer grid, shrinking the
+    spacing tenfold each time, until it is at most 1e-6 absolute in the
+    coordinate (or the cells collapse below the spacing of doubles).  The
+    best point seen over all scans is returned.  boundary_warning is set when
+    the optimum lies within one pre-scan cell of either end.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -173,19 +174,19 @@ def optimize(
             return math.inf
         return est.bound
 
-    grid = _grid(lo, hi, _PRESCAN_POINTS, "linear")
-    scan = [objective(v) for v in grid]
-    i_best = min(range(len(grid)), key=lambda i: scan[i])
-    if math.isinf(scan[i_best]):
-        raise CosmoQfiError("bound is infinite over the whole scan range")
-
-    bracket = (grid[max(i_best - 1, 0)], grid[min(i_best + 1, len(grid) - 1)])
-    res = minimize_scalar(
-        objective, bounds=bracket, method="bounded", options={"xatol": _REFINE_XATOL}
-    )
-    best_x, best_f = grid[i_best], scan[i_best]
-    if res.fun <= best_f:
-        best_x, best_f = float(res.x), float(res.fun)
+    best_x, best_f = lo, math.inf
+    a, b, points = lo, hi, _PRESCAN_POINTS
+    while True:
+        step = (b - a) / (points - 1)
+        for v in _grid(a, b, points, "linear"):
+            f = objective(v)
+            if f < best_f:
+                best_x, best_f = v, f
+        if math.isinf(best_f):
+            raise CosmoQfiError("bound is infinite over the whole scan range")
+        if step <= _REFINE_XATOL:
+            break
+        a, b, points = max(best_x - step, lo), min(best_x + step, hi), _ZOOM_POINTS
 
     cell = (hi - lo) / (_PRESCAN_POINTS - 1)
     warn = (best_x - lo) <= cell or (hi - best_x) <= cell

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cosmo_qfi
 from cosmo_qfi.cli import main
 
 POINT_KEYS = [
@@ -78,6 +83,36 @@ def test_degenerate_evaluation_exits_three(capsys):
     code, _, err = run(capsys, "point", "--eps", "1e300")
     assert code == 3
     assert err.strip()  # one-line diagnostic
+
+
+def test_identity_check_failure_exits_three(capsys):
+    # the simplified QFI form underflows to 0 where the literal form does not
+    code, out, err = run(capsys, "point", "--eps", "2.64e-6", "--m", "0.482", "--k", "69.6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: QFI forms disagree")
+
+
+def test_non_integer_threads_env_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COSMO_QFI_THREADS", "abc")
+    out = tmp_path / "curve.csv"
+    code, _, err = run(capsys, "sweep", "--var", "m", "--out", str(out))
+    assert code == 2
+    assert "COSMO_QFI_THREADS" in err
+    assert not out.exists()
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    probe = (
+        "import sys, cosmo_qfi, cosmo_qfi.cli; "
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    src = str(Path(cosmo_qfi.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.stdout.strip() == ""
 
 
 def test_unwritable_output_exits_four(capsys, tmp_path):

@@ -111,6 +111,12 @@ def test_optimize_boundary_warning():
     assert abs(res.coordinate - 4.0) < 0.02
 
 
+def test_optimize_terminates_at_large_coordinates():
+    # near 1e10 the spacing between doubles exceeds the 1e-6 refinement target
+    res = optimize("eps", 1e10, 1e12, ModelParams(1.0, 1e-9, 1e-3))
+    assert 1e10 <= res.coordinate <= 1e12
+
+
 def test_optimize_validation():
     with pytest.raises(ValueError):
         optimize("k_tilde", 1.0, 1.0, FIXED)

@@ -7,9 +7,10 @@ import pytest
 
 from cosmo_qfi import (
     DEFAULT_TRIALS,
+    CosmoQfiError,
+    IdentityCheckError,
     ModelParams,
     ProbeState,
-    bound,
     entanglement_entropy,
     probe,
     qfi_eps,
@@ -88,17 +89,25 @@ def test_qfi_collapses_at_large_eps():
     assert q100 < 1e-3 * q1
 
 
+def test_qfi_identity_mismatch_raises_typed_error():
+    # literal form about 4e-189, simplified form underflows to 0
+    with pytest.raises(IdentityCheckError) as info:
+        qfi_eps(ModelParams(2.64e-6, 0.482, 69.6))
+    assert isinstance(info.value, CosmoQfiError)
+    assert isinstance(info.value, ArithmeticError)
+
+
 def test_bound_arithmetic():
     est = qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=1.0)
-    scaled = bound(ModelParams(1.0, 1.0, 1.0), trials=1e11)
+    scaled = qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=1e11)
     assert math.isclose(scaled.bound, est.bound / 1e11, rel_tol=1e-15)
     assert scaled.trials == 1e11
     with pytest.raises(ValueError):
-        bound(ModelParams(1.0, 1.0, 1.0), trials=0.0)
+        qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=0.0)
 
 
 def test_bound_infinite_sentinel_for_massless():
-    est = bound(ModelParams(1.0, 0.0, 1.0), trials=1e11)
+    est = qfi_eps(ModelParams(1.0, 0.0, 1.0), trials=1e11)
     assert math.isinf(est.bound)
 
 
