@@ -90,9 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "particle-creation probe."
         ),
         epilog=(
-            "Environment: COSMO_QFI_THREADS caps internal parallelism "
-            "(0 = auto); COSMO_QFI_PURE forces the pure-Python integrator "
-            "backend."
+            "Environment: COSMO_QFI_THREADS sets the worker thread count "
+            "(0 or unset = auto: one thread for closed-form sweeps, and one "
+            "per CPU, at most 8, for oracle integrations only on the "
+            "compiled kernel, which releases the GIL; the thread count never "
+            "changes output); "
+            "COSMO_QFI_PURE forces the pure-Python integrator backend."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,15 +150,15 @@ def _cmd_point(args: argparse.Namespace) -> int:
     est = qfi_eps(params, trials=args.trials, deriv_method=method)
     st = probe(params, deriv_method=method)
     doc = {
-        "eps": params.eps,
-        "m_tilde": params.m_tilde,
-        "k_tilde": params.k_tilde,
-        "X": st.X,
-        "p0": st.p0,
-        "p1": st.p1,
-        "qfi": est.qfi,
+        "eps": _json_number(params.eps),
+        "m_tilde": _json_number(params.m_tilde),
+        "k_tilde": _json_number(params.k_tilde),
+        "X": _json_number(st.X),
+        "p0": _json_number(st.p0),
+        "p1": _json_number(st.p1),
+        "qfi": _json_number(est.qfi),
         "bound": _json_number(est.bound),
-        "entropy": state_entropy(st),
+        "entropy": _json_number(state_entropy(st)),
         "derivative_method": est.derivative_method,
     }
     print(json.dumps(doc))
@@ -217,8 +220,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     doc = {
         "variable": args.var,
-        "optimum": result.coordinate,
-        "qfi": result.estimation.qfi,
+        "optimum": _json_number(result.coordinate),
+        "qfi": _json_number(result.estimation.qfi),
         "bound": _json_number(result.estimation.bound),
         "boundary_warning": result.boundary_warning,
     }

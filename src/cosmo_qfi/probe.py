@@ -87,10 +87,10 @@ def qfi_eps(
         (1+X) (d p0)^2 + ((1+X)/X) (d p1)^2,
 
     and cross-checks it against the simplified (dX)^2 / (X (1+X)^2) before
-    returning; disagreement beyond rounding (a broken derivative, or the
-    simplified form underflowing) raises IdentityCheckError.  X = 0 returns
-    zero information by convention (the derivative vanishes at least as fast
-    as sqrt(X) there).
+    returning; disagreement beyond rounding (a broken derivative, the
+    simplified form underflowing) or a non-finite literal form raises
+    IdentityCheckError.  X = 0 returns zero information by convention (the
+    derivative vanishes at least as fast as sqrt(X) there).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -105,7 +105,11 @@ def qfi_eps(
         dp1 = dX / denom
         qfi = (1.0 + X) * dp0 * dp0 + (1.0 + X) / X * dp1 * dp1
         simplified = dX * dX / (X * denom)
-        if abs(qfi - simplified) > _IDENTITY_RTOL * max(abs(qfi), abs(simplified)):
+        # Written so that a NaN in either form, or an overflowed literal form
+        # (at subnormal X, (1+X)/X is inf), fails the check.
+        diff = abs(qfi - simplified)
+        scale = max(abs(qfi), abs(simplified))
+        if not (math.isfinite(qfi) and diff <= _IDENTITY_RTOL * scale):
             raise IdentityCheckError(
                 f"QFI forms disagree: literal={qfi!r} simplified={simplified!r}"
             )

@@ -9,8 +9,12 @@ spacing is at most 1e-6.  The best point seen is kept, so the result can never
 be worse than the pre-scan and unimodality is not assumed.
 
 Grid points are independent; evaluation honors the COSMO_QFI_THREADS
-environment variable (0 or unset means automatic; a non-integer value is a
-usage error).  Row order and values do not depend on the thread count.
+environment variable (a positive value is the thread count; a non-integer
+value is a usage error).  0 or unset means automatic: closed-form sweeps run
+on the calling thread, because their pure-Python loop holds the GIL and extra
+threads only contend for it, and oracle integrations get one thread per usable
+CPU (at most 8) only on the compiled kernel, which releases the GIL.  Row
+order and values do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -92,15 +96,27 @@ def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
     return replace(fixed, **{variable: value})
 
 
-def _thread_count() -> int:
+def _thread_count(releases_gil: bool) -> int:
+    """Worker threads for work over independent points.
+
+    A positive COSMO_QFI_THREADS is used as given.  Automatic (unset or 0)
+    gives work that holds the GIL the calling thread alone, and work that
+    releases it one thread per CPU this process may run on, at most 8.
+    """
     raw = os.environ.get("COSMO_QFI_THREADS") or "0"
     try:
         n = int(raw)
     except ValueError:
         raise ValueError(f"COSMO_QFI_THREADS must be an integer, got {raw!r}") from None
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
+    if n > 0:
+        return n
+    if not releases_gil:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
@@ -127,7 +143,7 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
             return SweepRow(value, math.nan, math.inf, math.nan, math.nan)
         return SweepRow(value, q, b, s, p1)
 
-    workers = _thread_count()
+    workers = _thread_count(releases_gil=False)
     if workers > 1 and spec.points >= 32:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, values))

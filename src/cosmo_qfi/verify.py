@@ -21,6 +21,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import _kernel
 from .bogoliubov import (
     coefficients,
     dX_deps_analytic,
@@ -156,10 +157,11 @@ def oracle_points(count: int = 5) -> list[ModelParams]:
 
 
 def _map_ordered(fn, items):
-    # Integrations over disjoint parameter points are independent, and the
-    # compiled kernel releases the GIL, so they run concurrently; gathering
-    # in submission order keeps results independent of scheduling.
-    workers = _thread_count()
+    # Integrations over disjoint parameter points are independent.  The
+    # compiled kernel releases the GIL, so by default they run concurrently
+    # only there; gathering in submission order keeps results independent of
+    # scheduling.
+    workers = _thread_count(releases_gil=_kernel.BACKEND == "compiled")
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))

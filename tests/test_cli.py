@@ -93,6 +93,34 @@ def test_identity_check_failure_exits_three(capsys):
     assert err.startswith("error: QFI forms disagree")
 
 
+def test_subnormal_excitation_weight_exits_three(capsys):
+    # X = 2e-323 makes the literal QFI form NaN; it must not reach stdout
+    code, out, err = run(capsys, "point", "--eps", "24091", "--m", "7.2e-5", "--k", "120")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: QFI forms disagree")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--eps", "1", "--m", "1", "--k", "1"],
+        ["point", "--eps", "1", "--m", "0", "--k", "1"],
+        ["point", "--eps", "3", "--m", "0.5", "--k", "2", "--deriv-method", "fd"],
+        ["optimize", "--var", "k", "--lo", "0.1", "--hi", "10"],
+        ["optimize", "--var", "m", "--lo", "0.1", "--hi", "5", "--deriv-method", "fd"],
+    ],
+)
+def test_json_stdout_is_strict(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
+
+
 def test_non_integer_threads_env_exits_two(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("COSMO_QFI_THREADS", "abc")
     out = tmp_path / "curve.csv"

@@ -1,10 +1,12 @@
 """Sweep engine and bounded optimization."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from cosmo_qfi import ModelParams, SweepSpec, optimize, sweep
+from cosmo_qfi import ModelParams, SweepSpec, _kernel, optimize, sweep, sweeps, verify
 
 FIXED = ModelParams(1.0, 1.0, 1.0)
 
@@ -133,6 +135,90 @@ def test_verify_checks_thread_independent(monkeypatch):
     threaded = (check_ode_oracle(3), check_wronskian(3))
     assert sequential == threaded
     assert all(c.passed for c in sequential)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was constructed")
+
+
+class _CountingPool(ThreadPoolExecutor):
+    constructed = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).constructed += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool():
+    _CountingPool.constructed = 0
+    return _CountingPool
+
+
+def test_sweep_auto_runs_on_the_calling_thread(monkeypatch):
+    # the closed-form loop holds the GIL, so auto must not pay for a pool
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", _NoPool)
+    rows = sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
+    assert len(rows) == 64
+
+
+def test_sweep_explicit_threads_use_a_pool(monkeypatch, counting_pool):
+    monkeypatch.setenv("COSMO_QFI_THREADS", "2")
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", counting_pool)
+    rows = sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
+    assert len(rows) == 64
+    assert counting_pool.constructed == 1
+
+
+def test_verify_auto_pool_only_on_compiled_kernel(monkeypatch, counting_pool):
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(_kernel, "BACKEND", "pure")
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", _NoPool)
+    assert verify._map_ordered(abs, [-1, -2, -3]) == [1, 2, 3]
+    monkeypatch.setattr(_kernel, "BACKEND", "compiled")
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", counting_pool)
+    assert verify._map_ordered(abs, [-1, -2, -3]) == [1, 2, 3]
+    assert counting_pool.constructed == 1
+
+
+def test_auto_thread_count_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU gets one worker even on the compiled kernel
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_kernel, "BACKEND", "compiled")
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", _NoPool)
+    assert verify._map_ordered(abs, [-1, -2]) == [1, 2]
+    assert sweeps._thread_count(releases_gil=True) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert sweeps._thread_count(releases_gil=True) == 8
+    assert sweeps._thread_count(releases_gil=False) == 1
+
+
+def test_auto_thread_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sweeps._thread_count(releases_gil=True) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sweeps._thread_count(releases_gil=True) == 1
+
+
+def test_explicit_thread_count_is_honoured(monkeypatch):
+    monkeypatch.setenv("COSMO_QFI_THREADS", "12")
+    assert sweeps._thread_count(releases_gil=False) == 12
+    assert sweeps._thread_count(releases_gil=True) == 12
+
+
+def test_sweep_nan_qfi_point_becomes_nan_row():
+    # X is subnormal at eps = 24091 (m = 7.2e-5, k = 120): the literal QFI is
+    # NaN, which the identity check turns into a typed error and a NaN row
+    fixed = ModelParams(1.0, 7.2e-5, 120.0)
+    rows = sweep(SweepSpec("eps", 24091.0, 24092.0, 2, fixed))
+    assert math.isnan(rows[0].qfi) and math.isinf(rows[0].bound)
+    assert math.isnan(rows[0].entropy) and math.isnan(rows[0].p1)
 
 
 def test_trials_scaling_exact():

@@ -1,5 +1,6 @@
 """Probe state, QFI closed form, Cramer-Rao bound, entropy."""
 
+import importlib
 import math
 
 import numpy as np
@@ -95,6 +96,22 @@ def test_qfi_identity_mismatch_raises_typed_error():
         qfi_eps(ModelParams(2.64e-6, 0.482, 69.6))
     assert isinstance(info.value, CosmoQfiError)
     assert isinstance(info.value, ArithmeticError)
+
+
+def test_qfi_nan_literal_form_raises_typed_error():
+    # X = 2e-323 is subnormal: (1+X)/X overflows and meets a zero derivative
+    with pytest.raises(IdentityCheckError, match="literal=nan"):
+        qfi_eps(ModelParams(24091.0, 7.2e-5, 120.0))
+
+
+def test_qfi_overflowed_literal_form_raises_typed_error(monkeypatch):
+    # (1+X)/X = inf times dp1^2 = 1e-310 gives an infinite literal form while
+    # the simplified form is 1; inf <= 1e-10 * inf must not pass the check
+    probe_module = importlib.import_module("cosmo_qfi.probe")
+    state = ProbeState(p0=1.0, p1=1e-310, X=1e-310, dX=1e-155)
+    monkeypatch.setattr(probe_module, "probe", lambda *args: state)
+    with pytest.raises(IdentityCheckError, match="literal=inf"):
+        qfi_eps(ModelParams(1.0, 1.0, 1.0))
 
 
 def test_bound_arithmetic():
