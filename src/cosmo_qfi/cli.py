@@ -138,13 +138,7 @@ def _params_from_flags(args: argparse.Namespace) -> ModelParams:
     return ModelParams(eps=args.eps, m_tilde=args.m, k_tilde=args.k)
 
 
-def _check_trials(trials: float) -> None:
-    if not trials >= 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
-
-
 def _cmd_point(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     params = _params_from_flags(args)
     method = _DERIV_FLAGS[args.deriv_method]
     est = qfi_eps(params, trials=args.trials, deriv_method=method)
@@ -166,7 +160,6 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     variable = _VAR_FLAGS[args.var]
     # The swept coordinate in `fixed` is a placeholder; it is replaced at
     # every grid point.
@@ -206,7 +199,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     variable = _VAR_FLAGS[args.var]
     fixed_fields = {"eps": args.eps, "m_tilde": args.m, "k_tilde": args.k}
     fixed_fields[variable] = 1.0

@@ -11,6 +11,10 @@ the solution is matched to
 and |B/A|^2 is compared against the Gamma/sinh closed forms by the
 verification suite.  Only the magnitude ratio is meaningful here; overall
 phase conventions of the exact mode functions are not reproduced.
+
+The in-mode is integrated stacked with a partner solution, so one pair
+integration yields the ratio, the fit residual and the Wronskian drift that
+gauges the integrator along the in-mode's own step sequence.
 """
 
 from __future__ import annotations
@@ -61,13 +65,15 @@ class MatchResult:
 
     fit_residual measures how well the matched superposition reproduces the
     integrated solution and its derivative one backoff interval before the
-    endpoint, relative to |A|.
+    endpoint, relative to |A|.  wronskian_drift bounds the relative drift of
+    the pair's Wronskian over the whole integration.
     """
 
     A_num: complex
     B_num: complex
     ratio_sq: float
     fit_residual: float
+    wronskian_drift: float
 
 
 def _check_window(p: ModelParams, span: float, eta0: float) -> None:
@@ -117,15 +123,17 @@ def integrate_mode(
     f = frequencies(p)
     sign = _BRANCH_SIGN[cfg.branch]
 
-    y = _in_mode_state(f.omega_in, eta0)
+    base = _in_mode_state(f.omega_in, eta0)
+    # Partner solution: same value, opposite-frequency derivative.
+    y = base + (base[0], base[1], -base[2], -base[3])
     checkpoint = span - _CHECKPOINT_BACKOFF
-    y, _, status = _kernel.impl.integrate_endpoint(
+    y, d1, _, status = _kernel.impl.integrate_pair_drift(
         p.eps, p.m_tilde, p.k_tilde, sign, eta0, checkpoint, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
     psi_c = complex(y[0], y[1])
     dpsi_c = complex(y[2], y[3])
-    y, _, status = _kernel.impl.integrate_endpoint(
+    y, d2, _, status = _kernel.impl.integrate_pair_drift(
         p.eps, p.m_tilde, p.k_tilde, sign, checkpoint, span, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
@@ -150,6 +158,10 @@ def integrate_mode(
         B_num=b_coef,
         ratio_sq=abs(b_coef / a_coef) ** 2,
         fit_residual=residual,
+        # Leg 2 measures its drift against the checkpoint Wronskian W_c, so
+        # |W - W_0| <= d2 |W_c| + d1 |W_0| <= (d1 + d2 (1 + d1)) |W_0|: the
+        # combined figure never under-reports the drift from the start.
+        wronskian_drift=d1 + d2 * (1.0 + d1),
     )
 
 
@@ -160,20 +172,4 @@ def wronskian_drift(p: ModelParams, cfg: IntegrationConfig | None = None) -> flo
     equation whatever the coefficient function, so its drift is a pure
     integrator-quality gauge.
     """
-    if cfg is None:
-        cfg = IntegrationConfig()
-    if p.m_tilde <= 0.0:
-        raise ValueError("wronskian_drift requires m_tilde > 0")
-    span = cfg.eta_span
-    _check_window(p, span, -span)
-    f = frequencies(p)
-    sign = _BRANCH_SIGN[cfg.branch]
-    base = _in_mode_state(f.omega_in, -span)
-    # Second solution: same value, opposite-frequency derivative.
-    other = (base[0], base[1], -base[2], -base[3])
-    _, drift, _, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, sign, -span, span, base + other,
-        cfg.rel_tol, cfg.abs_tol,
-    )
-    _raise_on_status(status, p)
-    return drift
+    return integrate_mode(p, cfg).wronskian_drift

@@ -92,8 +92,8 @@ def qfi_eps(
     IdentityCheckError.  X = 0 returns zero information by convention (the
     derivative vanishes at least as fast as sqrt(X) there).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(trials) and trials >= 1):
+        raise ValueError(f"trials must be finite and >= 1, got {trials}")
     st = probe(p, deriv_method, fd_step)
     X, dX = st.X, st.dX
     if X == 0.0:

@@ -67,8 +67,8 @@ class SweepSpec:
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.spacing == "log" and self.lo <= 0.0:
             raise ValueError("log spacing requires lo > 0")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not (math.isfinite(self.trials) and self.trials >= 1):
+            raise ValueError(f"trials must be finite and >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)

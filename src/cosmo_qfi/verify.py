@@ -30,7 +30,7 @@ from .bogoliubov import (
     ratio_sq,
 )
 from .cosmology import ModelParams
-from .oracle import IntegrationConfig, integrate_mode, wronskian_drift
+from .oracle import MatchResult, integrate_mode
 from .probe import probe, qfi_eps
 from .qfi import OutcomeDistribution, SpectralFamily, classical_fisher, qfi_spectral
 from .sweeps import _thread_count
@@ -168,22 +168,26 @@ def _map_ordered(fn, items):
     return [fn(x) for x in items]
 
 
-def check_ode_oracle(count: int = 5, tol: float = ODE_TOL) -> CheckResult:
+def oracle_matches(count: int = 5) -> list[tuple[ModelParams, MatchResult]]:
+    """Each oracle point with its mode-equation integration, run once."""
+    points = oracle_points(count)
+    return list(zip(points, _map_ordered(integrate_mode, points)))
+
+
+def check_ode_oracle(
+    matches: list[tuple[ModelParams, MatchResult]], tol: float = ODE_TOL
+) -> CheckResult:
     """Closed-form mixing ratio against direct mode-equation integration."""
-    cfg = IntegrationConfig()
-
-    def one(p: ModelParams) -> float:
-        return _rel_diff(integrate_mode(p, cfg).ratio_sq, mixing_sq_sinh(p))
-
-    worst = max(_map_ordered(one, oracle_points(count)))
-    return CheckResult("mode-equation oracle", worst, tol, count)
+    worst = max(_rel_diff(m.ratio_sq, mixing_sq_sinh(p)) for p, m in matches)
+    return CheckResult("mode-equation oracle", worst, tol, len(matches))
 
 
-def check_wronskian(count: int = 5, tol: float = DRIFT_TOL) -> CheckResult:
+def check_wronskian(
+    matches: list[tuple[ModelParams, MatchResult]], tol: float = DRIFT_TOL
+) -> CheckResult:
     """Wronskian conservation along the oracle integrations."""
-    cfg = IntegrationConfig()
-    worst = max(_map_ordered(lambda p: wronskian_drift(p, cfg), oracle_points(count)))
-    return CheckResult("wronskian drift", worst, tol, count)
+    worst = max(m.wronskian_drift for _, m in matches)
+    return CheckResult("wronskian drift", worst, tol, len(matches))
 
 
 def run_all(
@@ -192,11 +196,12 @@ def run_all(
     identity_tol: float = IDENTITY_TOL,
 ) -> list[CheckResult]:
     """Every check with the given grid resolution and identity tolerance."""
+    matches = oracle_matches(ode_points)
     return [
         check_gamma_vs_sinh(grid_points, identity_tol),
         check_qfi_identity(grid_points, identity_tol),
         check_measurement_optimality(grid_points, identity_tol),
         check_derivative(grid_points),
-        check_ode_oracle(ode_points),
-        check_wronskian(ode_points),
+        check_ode_oracle(matches),
+        check_wronskian(matches),
     ]

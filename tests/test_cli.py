@@ -62,6 +62,9 @@ def test_point_deterministic_stdout(capsys):
     [
         ["point", "--eps", "-1"],
         ["point", "--trials", "0"],
+        ["point", "--trials", "inf"],
+        ["point", "--trials", "nan"],
+        ["sweep", "--var", "m", "--points", "3", "--trials", "inf", "--out", "x.csv"],
         ["point", "--k", "0"],
         ["sweep", "--var", "m", "--points", "1", "--out", "x.csv"],
         ["sweep", "--var", "m", "--lo", "5", "--hi", "1", "--out", "x.csv"],
@@ -73,10 +76,12 @@ def test_point_deterministic_stdout(capsys):
         ["point", "--no-such-flag"],
     ],
 )
-def test_usage_errors_exit_two(capsys, argv):
+def test_usage_errors_exit_two(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = main(argv)
     capsys.readouterr()
     assert code == 2
+    assert list(tmp_path.iterdir()) == []  # no CSV written
 
 
 def test_degenerate_evaluation_exits_three(capsys):

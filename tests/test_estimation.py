@@ -2,11 +2,14 @@
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from cosmo_qfi import ModelParams, SweepSpec, _kernel, optimize, sweep, sweeps, verify
+from cosmo_qfi._kernel import pure
 
 FIXED = ModelParams(1.0, 1.0, 1.0)
 
@@ -65,8 +68,9 @@ def test_sweep_spec_validation():
         SweepSpec("k_tilde", 0.0, 1.0, 10, FIXED)  # zero lo only valid for mass
     with pytest.raises(ValueError):
         SweepSpec("volume", 0.1, 1.0, 10, FIXED)
-    with pytest.raises(ValueError):
-        SweepSpec("m_tilde", 0.1, 10.0, 10, FIXED, trials=0.0)
+    for trials in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SweepSpec("m_tilde", 0.1, 10.0, 10, FIXED, trials=trials)
     with pytest.raises(ValueError):
         SweepSpec("m_tilde", 0.0, 1.0, 10, FIXED, spacing="log")
 
@@ -127,14 +131,42 @@ def test_optimize_validation():
 
 
 def test_verify_checks_thread_independent(monkeypatch):
-    from cosmo_qfi.verify import check_ode_oracle, check_wronskian
+    from cosmo_qfi.verify import check_ode_oracle, check_wronskian, oracle_matches
 
     monkeypatch.setenv("COSMO_QFI_THREADS", "1")
-    sequential = (check_ode_oracle(3), check_wronskian(3))
+    sequential = oracle_matches(3)
     monkeypatch.setenv("COSMO_QFI_THREADS", "4")
-    threaded = (check_ode_oracle(3), check_wronskian(3))
+    threaded = oracle_matches(3)
     assert sequential == threaded
-    assert all(c.passed for c in sequential)
+    assert check_ode_oracle(sequential).passed
+    assert check_wronskian(sequential).passed
+
+
+def test_verify_integrates_each_oracle_point_once(monkeypatch):
+    # one stacked-pair integration, split at the checkpoint, serves both the
+    # ratio check and the drift check
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(pure, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    stub = SimpleNamespace(
+        BACKEND=pure.BACKEND,
+        integrate_endpoint=counted("integrate_endpoint"),
+        integrate_pair_drift=counted("integrate_pair_drift"),
+    )
+    monkeypatch.setenv("COSMO_QFI_THREADS", "1")
+    monkeypatch.setattr(_kernel, "impl", stub)
+    results = verify.run_all(2, 3)
+    assert all(r.passed for r in results)
+    assert calls["integrate_pair_drift"] == 6  # two legs times three points
+    assert calls["integrate_endpoint"] == 0
 
 
 class _NoPool:

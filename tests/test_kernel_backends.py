@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from scipy.integrate import solve_ivp
@@ -112,3 +114,25 @@ def test_selected_backend_exposes_contract():
     for name in ("integrate_endpoint", "integrate_pair_drift", "BACKEND"):
         assert hasattr(_kernel.impl, name)
     assert _kernel.BACKEND in ("pure", "compiled")
+
+
+def test_generated_c_quotes_the_current_pyx():
+    # Cython quotes every compiled .pyx line in the .c it generates, under a
+    # '/* "<file>.pyx":N' header with the line marked '# <<<'.  A .pyx edited
+    # without regenerating the shipped .c shows up here as a mismatch.
+    kernel_dir = Path(pure.__file__).parent
+    pyx = (kernel_dir / "_mode_rk.pyx").read_text(encoding="utf-8").splitlines()
+    c_src = (kernel_dir / "_mode_rk.c").read_text(encoding="utf-8").splitlines()
+    header = re.compile(r'\s*/\* "cosmo_qfi/_kernel/_mode_rk\.pyx":(\d+)$')
+    marker = "             # <<<<<<<<<<<<<<"
+    headers, quoted, lineno = 0, [], None
+    for line in c_src:
+        found = header.match(line)
+        if found:
+            headers += 1
+            lineno = int(found.group(1))
+        elif lineno is not None and line.startswith(" * ") and line.endswith(marker):
+            quoted.append((lineno, line[3:-len(marker)]))
+            lineno = None
+    assert headers > 0 and len(quoted) == headers
+    assert [(n, q) for n, q in quoted if pyx[n - 1] != q] == []

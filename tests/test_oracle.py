@@ -1,12 +1,16 @@
 """Mode-equation oracle: agreement with closed forms, integrator quality."""
 
+import cmath
+
 import pytest
 
 from cosmo_qfi import (
     IntegrationConfig,
     ModelParams,
     WindowTooSmallError,
+    _kernel,
     coefficients,
+    frequencies,
     integrate_mode,
     mixing_sq_sinh,
     ratio_sq,
@@ -75,6 +79,25 @@ def test_wronskian_drift_at_loose_tolerance():
     cfg = IntegrationConfig(rel_tol=1e-10, abs_tol=1e-12)
     for point in [(1.0, 1.0, 1.0), (0.5, 5.0, 2.0)]:
         assert wronskian_drift(ModelParams(*point), cfg) < 1e-8
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (0.5, 5.0, 2.0)])
+def test_combined_drift_is_a_tight_bound(point):
+    # the two-leg figure is the public gauge, and it stays close to the drift
+    # one unbroken integration of the same pair across the window records
+    p = ModelParams(*point)
+    cfg = IntegrationConfig()
+    drift = integrate_mode(p, cfg).wronskian_drift
+    assert drift == wronskian_drift(p, cfg)
+    w, eta0 = frequencies(p).omega_in, -cfg.eta_span
+    psi = cmath.exp(-1j * w * eta0)
+    dpsi = -1j * w * psi
+    pair = (psi.real, psi.imag, dpsi.real, dpsi.imag, psi.real, psi.imag, -dpsi.real, -dpsi.imag)
+    _, full, _, status = _kernel.impl.integrate_pair_drift(
+        p.eps, p.m_tilde, p.k_tilde, -1.0, eta0, cfg.eta_span, pair, cfg.rel_tol, cfg.abs_tol
+    )
+    assert status == _kernel.STATUS_OK
+    assert abs(drift - full) <= 0.05 * full
 
 
 def test_window_too_small_raises():

@@ -119,8 +119,9 @@ def test_bound_arithmetic():
     scaled = qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=1e11)
     assert math.isclose(scaled.bound, est.bound / 1e11, rel_tol=1e-15)
     assert scaled.trials == 1e11
-    with pytest.raises(ValueError):
-        qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=0.0)
+    for trials in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=trials)
 
 
 def test_bound_infinite_sentinel_for_massless():
