@@ -48,7 +48,6 @@ from .qfi import (
     SpectralFamily,
     classical_fisher,
     qfi_spectral,
-    sld_diagonal,
 )
 from .sweeps import OptimumResult, SweepRow, SweepSpec, optimize, sweep
 
@@ -95,7 +94,6 @@ __all__ = [
     "qfi_spectral",
     "ratio_sq",
     "scale_factor",
-    "sld_diagonal",
     "state_entropy",
     "sweep",
     "wronskian_drift",

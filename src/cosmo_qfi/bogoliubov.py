@@ -211,11 +211,7 @@ def dX_deps_fd(p: ModelParams, h: float | None = None) -> float:
     return (4.0 * d_half - d_full) / 3.0
 
 
-def excitation_weight(
-    p: ModelParams,
-    deriv_method: str = ANALYTIC,
-    fd_step: float | None = None,
-) -> CreationFactor:
+def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationFactor:
     """Excitation weight X = |B/A|^2 * chi_abs^2 and its eps-derivative.
 
     m_tilde = 0 yields an exact zero weight with zero derivative.  Where the
@@ -234,5 +230,5 @@ def excitation_weight(
     elif deriv_method == ANALYTIC:
         dX = dX_deps_analytic(p)
     else:
-        dX = dX_deps_fd(p, fd_step)
+        dX = dX_deps_fd(p)
     return CreationFactor(mixing, X, dX, deriv_method)

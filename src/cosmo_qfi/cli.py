@@ -16,13 +16,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .bogoliubov import ANALYTIC, FINITE_DIFFERENCE
 from .cosmology import ModelParams
 from .errors import CosmoQfiError
-from .probe import probe, qfi_eps, state_entropy
+from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy
 from .sweeps import SweepSpec, optimize, sweep
 from .verify import run_all
 
@@ -34,28 +33,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record embedded in every output file."""
-
-    command: str
-    params: dict
-    tolerances: dict = field(default_factory=dict)
-    tool_version: str = __version__
-    output_path: str = ""
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "params": self.params,
-                "tolerances": self.tolerances,
-                "tool_version": self.tool_version,
-                "output_path": self.output_path,
-            }
-        )
 
 
 def _json_number(x: float):
@@ -72,7 +49,7 @@ def _add_channel_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--m", type=float, default=1.0, help="dimensionless mass (default 1)")
     sp.add_argument("--k", type=float, default=1.0, help="dimensionless wave number (default 1)")
     sp.add_argument(
-        "--trials", type=float, default=1e11,
+        "--trials", type=float, default=float(DEFAULT_TRIALS),
         help="measurement repetitions for the bound (default 1e11)",
     )
     sp.add_argument(
@@ -127,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid resolution per axis for identity checks (default 10)")
     sp.add_argument("--ode-points", type=int, default=5,
                     help="number of mode-equation oracle comparisons (default 5)")
-    sp.add_argument("--tol", type=float, default=1e-10,
-                    help="relative tolerance for the identity checks (default 1e-10)")
     sp.set_defaults(func=_cmd_verify)
 
     return parser
@@ -138,11 +113,17 @@ def _params_from_flags(args: argparse.Namespace) -> ModelParams:
     return ModelParams(eps=args.eps, m_tilde=args.m, k_tilde=args.k)
 
 
+def _fixed_from_flags(args: argparse.Namespace, variable: str) -> ModelParams:
+    # The coordinate being swept or optimized is a placeholder; it is
+    # replaced at every grid point.
+    fields = {"eps": args.eps, "m_tilde": args.m, "k_tilde": args.k, variable: 1.0}
+    return ModelParams(**fields)
+
+
 def _cmd_point(args: argparse.Namespace) -> int:
     params = _params_from_flags(args)
-    method = _DERIV_FLAGS[args.deriv_method]
-    est = qfi_eps(params, trials=args.trials, deriv_method=method)
-    st = probe(params, deriv_method=method)
+    est = qfi_eps(params, trials=args.trials, deriv_method=_DERIV_FLAGS[args.deriv_method])
+    st = est.state
     doc = {
         "eps": _json_number(params.eps),
         "m_tilde": _json_number(params.m_tilde),
@@ -161,22 +142,18 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     variable = _VAR_FLAGS[args.var]
-    # The swept coordinate in `fixed` is a placeholder; it is replaced at
-    # every grid point.
-    fixed_fields = {"eps": args.eps, "m_tilde": args.m, "k_tilde": args.k}
-    fixed_fields[variable] = 1.0
     spec = SweepSpec(
         variable=variable,
         lo=args.lo,
         hi=args.hi,
         points=args.points,
-        fixed=ModelParams(**fixed_fields),
+        fixed=_fixed_from_flags(args, variable),
         trials=args.trials,
     )
     rows = sweep(spec, deriv_method=_DERIV_FLAGS[args.deriv_method])
-    manifest = RunManifest(
-        command="sweep",
-        params={
+    manifest = {
+        "command": "sweep",
+        "params": {
             "var": args.var,
             "lo": args.lo,
             "hi": args.hi,
@@ -187,10 +164,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "trials": args.trials,
             "deriv_method": args.deriv_method,
         },
-        output_path=args.out,
-    )
+        "tolerances": {},
+        "tool_version": __version__,
+        "output_path": args.out,
+    }
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest: {manifest.to_json()}\n")
+        fh.write(f"# manifest: {json.dumps(manifest)}\n")
         fh.write("value,qfi,bound,entropy,p1\n")
         for r in rows:
             fh.write(f"{r.value!r},{r.qfi!r},{r.bound!r},{r.entropy!r},{r.p1!r}\n")
@@ -200,13 +179,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     variable = _VAR_FLAGS[args.var]
-    fixed_fields = {"eps": args.eps, "m_tilde": args.m, "k_tilde": args.k}
-    fixed_fields[variable] = 1.0
     result = optimize(
         variable,
         args.lo,
         args.hi,
-        ModelParams(**fixed_fields),
+        _fixed_from_flags(args, variable),
         trials=args.trials,
         deriv_method=_DERIV_FLAGS[args.deriv_method],
     )
@@ -222,13 +199,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not args.tol > 0:
-        raise ValueError(f"--tol must be > 0, got {args.tol}")
-    if args.points < 2:
-        raise ValueError(f"--points must be >= 2, got {args.points}")
-    if args.ode_points < 1:
-        raise ValueError(f"--ode-points must be >= 1, got {args.ode_points}")
-    results = run_all(args.points, args.ode_points, args.tol)
+    results = run_all(args.points, args.ode_points)
     width = max(len(r.name) for r in results)
     print(f"{'check':<{width}}  {'worst':>10}  {'tolerance':>10}  status")
     for r in results:

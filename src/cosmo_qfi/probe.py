@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .bogoliubov import ANALYTIC, excitation_weight
 from .cosmology import ModelParams
 from .errors import IdentityCheckError
-from .qfi import OutcomeDistribution, classical_fisher
 
 DEFAULT_TRIALS = 10**11  # repetition count used for the published bound curves
 
@@ -39,22 +38,19 @@ class EstimationResult:
 
     bound is the lower bound on the squared error after `trials` repetitions,
     1/(trials * qfi); it is +inf when the state carries no information.
+    state is the probe state the figures were computed from.
     """
 
     qfi: float
-    classical_fisher: float
+    state: ProbeState
     bound: float
     trials: float
     derivative_method: str
 
 
-def probe(
-    p: ModelParams,
-    deriv_method: str = ANALYTIC,
-    fd_step: float | None = None,
-) -> ProbeState:
+def probe(p: ModelParams, deriv_method: str = ANALYTIC) -> ProbeState:
     """Reduced particle-mode state at the given channel parameters."""
-    cf = excitation_weight(p, deriv_method, fd_step)
+    cf = excitation_weight(p, deriv_method)
     p0 = 1.0 / (1.0 + cf.X)
     return ProbeState(p0=p0, p1=cf.X * p0, X=cf.X, dX=cf.dX_deps)
 
@@ -78,7 +74,6 @@ def qfi_eps(
     p: ModelParams,
     trials: float = DEFAULT_TRIALS,
     deriv_method: str = ANALYTIC,
-    fd_step: float | None = None,
 ) -> EstimationResult:
     """Quantum Fisher information for the expansion parameter.
 
@@ -94,11 +89,10 @@ def qfi_eps(
     """
     if not (math.isfinite(trials) and trials >= 1):
         raise ValueError(f"trials must be finite and >= 1, got {trials}")
-    st = probe(p, deriv_method, fd_step)
+    st = probe(p, deriv_method)
     X, dX = st.X, st.dX
     if X == 0.0:
         qfi = 0.0
-        cfi = classical_fisher(OutcomeDistribution((st.p0, st.p1), (0.0, 0.0)))
     else:
         denom = (1.0 + X) * (1.0 + X)
         dp0 = -dX / denom
@@ -113,11 +107,10 @@ def qfi_eps(
             raise IdentityCheckError(
                 f"QFI forms disagree: literal={qfi!r} simplified={simplified!r}"
             )
-        cfi = classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, dp1)))
     bnd = 1.0 / (trials * qfi) if qfi > 0.0 else math.inf
     return EstimationResult(
         qfi=qfi,
-        classical_fisher=cfi,
+        state=st,
         bound=bnd,
         trials=trials,
         derivative_method=deriv_method,

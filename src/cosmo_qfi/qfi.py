@@ -1,18 +1,16 @@
 """Fisher-information machinery for discrete outcome families.
 
-Covers the three pieces the probe state needs: classical Fisher information
-of an outcome distribution, the spectral form of the quantum Fisher
-information for families that need not be full rank, and the diagonal
-symmetric logarithmic derivative.  Zero-eigenvalue terms follow the usual
-spectral summation convention (they are dropped, and 0/0 outcomes contribute
-nothing).
+Covers the two pieces the probe state needs: classical Fisher information
+of an outcome distribution and the spectral form of the quantum Fisher
+information for families that need not be full rank.  Zero-eigenvalue terms
+follow the usual spectral summation convention (they are dropped, and 0/0
+outcomes contribute nothing).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import SingularOutcomeError
 
@@ -119,18 +117,3 @@ def qfi_spectral(f: SpectralFamily) -> float:
             total += 2.0 * diff * diff / denom * f.overlap_terms[m][k]
     return total
 
-
-def sld_diagonal(probs: Sequence[float], dprobs: Sequence[float]) -> list[float]:
-    """Diagonal symmetric logarithmic derivative entries dp_i / p_i.
-
-    Valid on the support only: any zero probability raises, since the
-    defining relation d(rho) = (rho L + L rho)/2 cannot be solved there.
-    """
-    if len(probs) != len(dprobs):
-        raise ValueError("probs and dprobs must have equal length")
-    out = []
-    for prob, dprob in zip(probs, dprobs):
-        if prob <= 0.0:
-            raise SingularOutcomeError("sld_diagonal requires probs > 0 entrywise")
-        out.append(dprob / prob)
-    return out

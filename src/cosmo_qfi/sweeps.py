@@ -9,8 +9,8 @@ spacing is at most 1e-6.  The best point seen is kept, so the result can never
 be worse than the pre-scan and unimodality is not assumed.
 
 Grid points are independent; evaluation honors the COSMO_QFI_THREADS
-environment variable (a positive value is the thread count; a non-integer
-value is a usage error).  0 or unset means automatic: closed-form sweeps run
+environment variable (a positive value is the thread count; a negative or
+non-integer value is a usage error).  0 or unset means automatic: closed-form sweeps run
 on the calling thread, because their pure-Python loop holds the GIL and extra
 threads only contend for it, and oracle integrations get one thread per usable
 CPU (at most 8) only on the compiled kernel, which releases the GIL.  Row
@@ -101,13 +101,16 @@ def _thread_count(releases_gil: bool) -> int:
 
     A positive COSMO_QFI_THREADS is used as given.  Automatic (unset or 0)
     gives work that holds the GIL the calling thread alone, and work that
-    releases it one thread per CPU this process may run on, at most 8.
+    releases it one thread per CPU this process may run on, at most 8.  Any
+    other value raises ValueError.
     """
     raw = os.environ.get("COSMO_QFI_THREADS") or "0"
     try:
         n = int(raw)
+        if n < 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"COSMO_QFI_THREADS must be an integer, got {raw!r}") from None
+        raise ValueError(f"COSMO_QFI_THREADS must be an integer >= 0, got {raw!r}") from None
     if n > 0:
         return n
     if not releases_gil:

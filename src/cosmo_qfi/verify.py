@@ -11,8 +11,10 @@ Each check compares two independent computations of the same quantity:
 * closed-form mixing ratio versus direct integration of the mode equation,
   with the Wronskian drift as the integrator-quality gauge.
 
-The CLI `verify` command prints one row per check and fails if any check
-exceeds its tolerance.
+The closed-form checks share one evaluation of each grid point and the oracle
+checks one integration of each oracle point.  The tolerances are fixed; the
+CLI `verify` command prints one row per check and fails if any check exceeds
+its tolerance.
 """
 
 from __future__ import annotations
@@ -22,16 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernel
-from .bogoliubov import (
-    coefficients,
-    dX_deps_analytic,
-    dX_deps_fd,
-    mixing_sq_sinh,
-    ratio_sq,
-)
+from .bogoliubov import coefficients, dX_deps_fd, mixing_sq_sinh, ratio_sq
 from .cosmology import ModelParams
 from .oracle import MatchResult, integrate_mode
-from .probe import probe, qfi_eps
+from .probe import EstimationResult, qfi_eps
 from .qfi import OutcomeDistribution, SpectralFamily, classical_fisher, qfi_spectral
 from .sweeps import _thread_count
 
@@ -75,48 +71,47 @@ def _rel_diff(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-def _axis(points: int) -> list[float]:
-    lo, hi = GRID_RANGE
-    return [lo + i * (hi - lo) / (points - 1) for i in range(points)]
-
-
 def _grid_params(points: int) -> list[ModelParams]:
-    axis = _axis(points)
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points per axis, got {points}")
+    lo, hi = GRID_RANGE
+    axis = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
     return [
         ModelParams(eps=e, m_tilde=m, k_tilde=k)
         for e in axis for m in axis for k in axis
     ]
 
 
-def check_gamma_vs_sinh(grid_points: int = 10, tol: float = IDENTITY_TOL) -> CheckResult:
+def grid_estimates(grid_points: int = 10) -> list[tuple[ModelParams, EstimationResult]]:
+    """Each point of the identity grid with its closed-form evaluation, run once."""
+    return [(p, qfi_eps(p)) for p in _grid_params(grid_points)]
+
+
+def check_gamma_vs_sinh(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
     """Mixing ratio from log-Gamma coefficients against the sinh closed form."""
-    worst = 0.0
-    params = _grid_params(grid_points)
-    for p in params:
-        worst = max(worst, _rel_diff(ratio_sq(coefficients(p, "minus")), mixing_sq_sinh(p)))
-    return CheckResult("gamma-vs-sinh identity", worst, tol, len(params))
+    worst = max(
+        _rel_diff(ratio_sq(coefficients(p, "minus")), mixing_sq_sinh(p)) for p, _ in grid
+    )
+    return CheckResult("gamma-vs-sinh identity", worst, IDENTITY_TOL, len(grid))
 
 
-def check_qfi_identity(grid_points: int = 10, tol: float = IDENTITY_TOL) -> CheckResult:
+def check_qfi_identity(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
     """Literal two-outcome QFI against (dX)^2 / (X (1+X)^2)."""
     worst = 0.0
-    params = _grid_params(grid_points)
-    for p in params:
-        est = qfi_eps(p)
-        st = probe(p)
+    for _, est in grid:
+        st = est.state
         simplified = st.dX * st.dX / (st.X * (1.0 + st.X) ** 2)
         worst = max(worst, _rel_diff(est.qfi, simplified))
-    return CheckResult("qfi literal-vs-simplified", worst, tol, len(params))
+    return CheckResult("qfi literal-vs-simplified", worst, IDENTITY_TOL, len(grid))
 
 
 def check_measurement_optimality(
-    grid_points: int = 10, tol: float = IDENTITY_TOL
+    grid: list[tuple[ModelParams, EstimationResult]],
 ) -> CheckResult:
     """Eigenprojector classical Fisher information against the spectral QFI."""
     worst = 0.0
-    params = _grid_params(grid_points)
-    for p in params:
-        st = probe(p)
+    for _, est in grid:
+        st = est.state
         denom = (1.0 + st.X) ** 2
         dp0 = -st.dX / denom
         cfi = classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, -dp0)))
@@ -126,16 +121,13 @@ def check_measurement_optimality(
             overlap_terms=((0.0, 0.0), (0.0, 0.0)),
         )
         worst = max(worst, _rel_diff(cfi, qfi_spectral(fam)))
-    return CheckResult("measurement optimality", worst, tol, len(params))
+    return CheckResult("measurement optimality", worst, IDENTITY_TOL, len(grid))
 
 
-def check_derivative(grid_points: int = 10, tol: float = DERIVATIVE_TOL) -> CheckResult:
+def check_derivative(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
     """Analytic excitation-weight derivative against Richardson differences."""
-    worst = 0.0
-    params = _grid_params(grid_points)
-    for p in params:
-        worst = max(worst, _rel_diff(dX_deps_analytic(p), dX_deps_fd(p)))
-    return CheckResult("analytic-vs-fd derivative", worst, tol, len(params))
+    worst = max(_rel_diff(est.state.dX, dX_deps_fd(p)) for p, est in grid)
+    return CheckResult("analytic-vs-fd derivative", worst, DERIVATIVE_TOL, len(grid))
 
 
 def oracle_points(count: int = 5) -> list[ModelParams]:
@@ -174,34 +166,27 @@ def oracle_matches(count: int = 5) -> list[tuple[ModelParams, MatchResult]]:
     return list(zip(points, _map_ordered(integrate_mode, points)))
 
 
-def check_ode_oracle(
-    matches: list[tuple[ModelParams, MatchResult]], tol: float = ODE_TOL
-) -> CheckResult:
+def check_ode_oracle(matches: list[tuple[ModelParams, MatchResult]]) -> CheckResult:
     """Closed-form mixing ratio against direct mode-equation integration."""
     worst = max(_rel_diff(m.ratio_sq, mixing_sq_sinh(p)) for p, m in matches)
-    return CheckResult("mode-equation oracle", worst, tol, len(matches))
+    return CheckResult("mode-equation oracle", worst, ODE_TOL, len(matches))
 
 
-def check_wronskian(
-    matches: list[tuple[ModelParams, MatchResult]], tol: float = DRIFT_TOL
-) -> CheckResult:
+def check_wronskian(matches: list[tuple[ModelParams, MatchResult]]) -> CheckResult:
     """Wronskian conservation along the oracle integrations."""
     worst = max(m.wronskian_drift for _, m in matches)
-    return CheckResult("wronskian drift", worst, tol, len(matches))
+    return CheckResult("wronskian drift", worst, DRIFT_TOL, len(matches))
 
 
-def run_all(
-    grid_points: int = 10,
-    ode_points: int = 5,
-    identity_tol: float = IDENTITY_TOL,
-) -> list[CheckResult]:
-    """Every check with the given grid resolution and identity tolerance."""
+def run_all(grid_points: int = 10, ode_points: int = 5) -> list[CheckResult]:
+    """Every check at the given grid resolution and oracle point count."""
+    grid = grid_estimates(grid_points)
     matches = oracle_matches(ode_points)
     return [
-        check_gamma_vs_sinh(grid_points, identity_tol),
-        check_qfi_identity(grid_points, identity_tol),
-        check_measurement_optimality(grid_points, identity_tol),
-        check_derivative(grid_points),
+        check_gamma_vs_sinh(grid),
+        check_qfi_identity(grid),
+        check_measurement_optimality(grid),
+        check_derivative(grid),
         check_ode_oracle(matches),
         check_wronskian(matches),
     ]

@@ -24,6 +24,7 @@ from cosmo_qfi import (
     sweep,
     wronskian_drift,
 )
+from cosmo_qfi import verify
 from cosmo_qfi.cli import main
 from cosmo_qfi.qfi import OutcomeDistribution, SpectralFamily, classical_fisher, qfi_spectral
 from cosmo_qfi.verify import oracle_points
@@ -202,7 +203,7 @@ def test_criterion_09_entropy_qfi_similarity():
             f"entropy peak m={rows[i_s].value:.3f}, QFI peak m={rows[i_q].value:.3f}")
 
 
-def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys):
+def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys, monkeypatch):
     args = ["sweep", "--var", "m", "--lo", "0.1", "--hi", "10", "--points", "50",
             "--eps", "1", "--k", "1", "--trials", "1e11"]
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -222,15 +223,15 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys):
     code_degen = main(["point", "--eps", "1e300"])
     code_io = main(["sweep", "--var", "m", "--points", "5",
                     "--out", str(tmp_path / "missing" / "x.csv")])
-    code_verify_fail = main(["verify", "--points", "2", "--ode-points", "1",
-                             "--tol", "1e-30"])
-    capsys.readouterr()
+    monkeypatch.setattr(verify, "IDENTITY_TOL", 1e-30)
+    code_verify_fail = main(["verify", "--points", "2", "--ode-points", "1"])
+    verify_out = capsys.readouterr().out
 
     ok = (
         codes == [0, 0] and identical and rerun_identical
         and code_point == 0 and doc["qfi"] > 0
         and code_usage == 2 and code_degen == 3 and code_io == 4
-        and code_verify_fail == 1
+        and code_verify_fail == 1 and "FAIL" in verify_out
     )
     _report(10, "CLI determinism and exit-code contract", ok,
             f"codes: usage={code_usage}, degenerate={code_degen}, "

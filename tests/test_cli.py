@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cosmo_qfi
+from cosmo_qfi import verify
 from cosmo_qfi.cli import main
 
 POINT_KEYS = [
@@ -70,10 +71,11 @@ def test_point_deterministic_stdout(capsys):
         ["sweep", "--var", "m", "--lo", "5", "--hi", "1", "--out", "x.csv"],
         ["sweep", "--var", "q", "--out", "x.csv"],
         ["optimize", "--var", "k", "--lo", "2", "--hi", "2"],
-        ["verify", "--tol", "0"],
+        ["verify", "--tol", "1"],
         ["verify", "--ode-points", "0"],
         ["nonsense"],
         ["point", "--no-such-flag"],
+        ["verify", "--points", "1"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv, tmp_path, monkeypatch):
@@ -135,6 +137,21 @@ def test_non_integer_threads_env_exits_two(capsys, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_negative_threads_env_exits_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("COSMO_QFI_THREADS", "-1")
+    out = tmp_path / "x.csv"
+    code, _, err = run(capsys, "sweep", "--var", "m", "--points", "3", "--out", str(out))
+    assert code == 2
+    assert "COSMO_QFI_THREADS" in err
+    assert not out.exists()
+
+
+def test_point_evaluates_the_probe_once(capsys, probe_calls):
+    code, _, _ = run(capsys, "point", "--eps", "0.7", "--m", "1.3", "--k", "2.0")
+    assert code == 0
+    assert len(probe_calls) == 1
+
+
 def test_import_loads_neither_numpy_nor_scipy():
     probe = (
         "import sys, cosmo_qfi, cosmo_qfi.cli; "
@@ -184,6 +201,22 @@ def test_sweep_csv_contract(capsys, tmp_path):
             x = float(tok)  # every number parses
             if math.isfinite(x):
                 assert repr(x) == tok  # and round-trips exactly
+
+
+def test_sweep_manifest_line_is_frozen(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        capsys, "sweep", "--var", "k", "--lo", "0.2", "--hi", "6", "--points", "3",
+        "--m", "0.5", "--deriv-method", "fd", "--out", "k.csv",
+    )
+    assert code == 0
+    first = (tmp_path / "k.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert first == (
+        '# manifest: {"command": "sweep", "params": {"var": "k", "lo": 0.2, "hi": 6.0, '
+        '"points": 3, "eps": 1.0, "m": 0.5, "k": 1.0, "trials": 100000000000.0, '
+        '"deriv_method": "fd"}, "tolerances": {}, "tool_version": "0.1.0", '
+        '"output_path": "k.csv"}'
+    )
 
 
 def test_sweep_byte_identical_reruns(capsys, tmp_path):
@@ -236,10 +269,9 @@ def test_verify_quick_pass(capsys):
     assert out.count("PASS") >= 6
 
 
-def test_verify_failure_exits_one(capsys):
+def test_verify_failure_exits_one(capsys, monkeypatch):
     # identity residuals are ~1e-13; an impossible tolerance must fail cleanly
-    code, out, _ = run(
-        capsys, "verify", "--points", "2", "--ode-points", "1", "--tol", "1e-30"
-    )
+    monkeypatch.setattr(verify, "IDENTITY_TOL", 1e-30)
+    code, out, _ = run(capsys, "verify", "--points", "2", "--ode-points", "1")
     assert code == 1
     assert "FAIL" in out

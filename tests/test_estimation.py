@@ -142,9 +142,9 @@ def test_verify_checks_thread_independent(monkeypatch):
     assert check_wronskian(sequential).passed
 
 
-def test_verify_integrates_each_oracle_point_once(monkeypatch):
-    # one stacked-pair integration, split at the checkpoint, serves both the
-    # ratio check and the drift check
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls per kernel entry point, counted on the pure backend."""
     calls = Counter()
 
     def counted(name):
@@ -163,10 +163,42 @@ def test_verify_integrates_each_oracle_point_once(monkeypatch):
     )
     monkeypatch.setenv("COSMO_QFI_THREADS", "1")
     monkeypatch.setattr(_kernel, "impl", stub)
+    return calls
+
+
+def test_verify_integrates_each_oracle_point_once(kernel_calls):
+    # one stacked-pair integration, split at the checkpoint, serves both the
+    # ratio check and the drift check
     results = verify.run_all(2, 3)
     assert all(r.passed for r in results)
-    assert calls["integrate_pair_drift"] == 6  # two legs times three points
-    assert calls["integrate_endpoint"] == 0
+    assert kernel_calls["integrate_pair_drift"] == 6  # two legs times three points
+    assert kernel_calls["integrate_endpoint"] == 0
+
+
+def test_verify_evaluates_each_grid_point_once(probe_calls):
+    # one probe evaluation per grid point serves all four closed-form checks
+    results = verify.run_all(3, 1)
+    assert all(r.passed for r in results)
+    assert [r.points for r in results[:4]] == [27] * 4
+    assert len(probe_calls) == 27
+
+
+@pytest.mark.parametrize("points", [1, 0])
+def test_verify_rejects_a_grid_below_two_points(kernel_calls, points):
+    # the grid is checked before any oracle integration starts
+    with pytest.raises(ValueError, match="grid points"):
+        verify.run_all(points, 1)
+    assert kernel_calls["integrate_pair_drift"] == 0
+
+
+def test_verify_tolerances_are_read_at_call_time(monkeypatch):
+    grid = verify.grid_estimates(2)
+    assert verify.check_qfi_identity(grid).passed
+    monkeypatch.setattr(verify, "IDENTITY_TOL", 1e-30)
+    monkeypatch.setattr(verify, "DERIVATIVE_TOL", 1e-30)
+    worse = [verify.check_qfi_identity(grid), verify.check_derivative(grid)]
+    assert [r.tolerance for r in worse] == [1e-30, 1e-30]
+    assert not any(r.passed for r in worse)
 
 
 class _NoPool:

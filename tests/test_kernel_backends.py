@@ -1,10 +1,13 @@
 """Backend parity: compiled kernel against the pure-Python twin and scipy."""
 
+import importlib.util
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -13,12 +16,7 @@ from scipy.integrate import solve_ivp
 from cosmo_qfi import _kernel
 from cosmo_qfi._kernel import pure
 
-try:
-    from cosmo_qfi._kernel import _mode_rk as compiled
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
+COMPILED = "cosmo_qfi._kernel._mode_rk"
 
 POINT = (1.0, 1.0, 1.0)  # eps, m, k
 SIGN = -1.0
@@ -39,8 +37,31 @@ def _omega_in(m, k):
     return math.hypot(m, k)
 
 
-@needs_compiled
-def test_backends_agree_on_endpoint():
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel: the package's own build if there is one, else the
+    shipped _mode_rk.c compiled into a temporary directory and loaded from
+    there, without registering it as a package module."""
+    try:
+        return importlib.import_module(COMPILED)
+    except ImportError:
+        pass
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+    include = Path(sysconfig.get_paths()["include"])
+    if cc is None or not (include / "Python.h").is_file():
+        pytest.skip("no C compiler or no Python headers to build the kernel")
+    source = Path(pure.__file__).with_name("_mode_rk.c")
+    target = tmp_path_factory.mktemp("kernel") / (
+        "_mode_rk" + sysconfig.get_config_var("EXT_SUFFIX"))
+    subprocess.run([cc, "-O3", "-shared", "-fPIC", f"-I{include}", str(source),
+                    "-o", str(target)], check=True, capture_output=True, timeout=300)
+    spec = importlib.util.spec_from_file_location(COMPILED, target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backends_agree_on_endpoint(compiled):
     eps, m, k = POINT
     y0 = _ic(_omega_in(m, k), -SPAN)
     yp, sp, stp = pure.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
@@ -51,8 +72,7 @@ def test_backends_agree_on_endpoint():
         assert abs(a - b) <= 1e-10 * scale
 
 
-@needs_compiled
-def test_backends_agree_on_drift():
+def test_backends_agree_on_drift(compiled):
     eps, m, k = POINT
     w = _omega_in(m, k)
     base = _ic(w, -SPAN)
@@ -63,8 +83,10 @@ def test_backends_agree_on_drift():
     assert abs(dp - dc) <= 1e-10
 
 
-@pytest.mark.parametrize("impl", [pure] + ([compiled] if compiled else []))
-def test_kernel_against_scipy(impl):
+@pytest.mark.parametrize("impl", [pure, COMPILED])
+def test_kernel_against_scipy(impl, request):
+    if impl == COMPILED:
+        impl = request.getfixturevalue("compiled")
     eps, m, k = POINT
     w_in = _omega_in(m, k)
     y0 = _ic(w_in, -SPAN)

@@ -11,7 +11,9 @@ from cosmo_qfi import (
     CosmoQfiError,
     IdentityCheckError,
     ModelParams,
+    OutcomeDistribution,
     ProbeState,
+    classical_fisher,
     entanglement_entropy,
     probe,
     qfi_eps,
@@ -20,6 +22,12 @@ from cosmo_qfi import (
 
 FROZEN_X_UNIT = 1.6698406311094825e-4
 FROZEN_QFI_UNIT = 5.8075378672444121e-5  # mpmath, analytic derivative route
+
+
+def _eigenprojector_fisher(st: ProbeState) -> float:
+    # classical Fisher information of measuring the probe in its eigenbasis
+    dp0 = -st.dX / (1.0 + st.X) ** 2
+    return classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, -dp0)))
 
 
 def test_probe_massless_is_vacuum():
@@ -55,7 +63,7 @@ def test_qfi_massless_is_zero_with_infinite_bound():
     est = qfi_eps(ModelParams(1.0, 0.0, 1.0))
     assert est.qfi == 0.0
     assert math.isinf(est.bound)
-    assert est.classical_fisher == 0.0
+    assert _eigenprojector_fisher(est.state) == 0.0
 
 
 def test_qfi_matches_simplified_form_on_grid():
@@ -73,7 +81,13 @@ def test_qfi_matches_simplified_form_on_grid():
 def test_eigenprojector_measurement_saturates_qfi():
     for point in [(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (3.0, 1.5, 0.4)]:
         est = qfi_eps(ModelParams(*point))
-        assert abs(est.classical_fisher - est.qfi) <= 1e-10 * est.qfi
+        assert abs(_eigenprojector_fisher(est.state) - est.qfi) <= 1e-10 * est.qfi
+
+
+def test_qfi_returns_the_probe_state_it_evaluated():
+    for method in ("analytic", "finite_difference"):
+        p = ModelParams(0.7, 1.3, 2.0)
+        assert qfi_eps(p, deriv_method=method).state == probe(p, deriv_method=method)
 
 
 def test_qfi_interior_maximum_over_mass():

@@ -1,4 +1,4 @@
-"""Fisher machinery: classical/spectral information, diagonal SLD."""
+"""Fisher machinery: classical and spectral information."""
 
 import math
 
@@ -13,7 +13,6 @@ from cosmo_qfi import (
     classical_fisher,
     probe,
     qfi_spectral,
-    sld_diagonal,
 )
 
 
@@ -79,40 +78,6 @@ def test_spectral_family_validation():
         SpectralFamily((0.5, 0.5), (0.0, 0.0), ((0.0, -0.1), (-0.1, 0.0)))
     with pytest.raises(ValueError):
         SpectralFamily((-0.1, 1.1), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-
-
-def test_sld_diagonal_entries_and_consistency():
-    L = sld_diagonal((0.5, 0.5), (0.1, -0.1))
-    assert L == [0.2, -0.2]
-    # Tr[rho L^2] = Tr[(d rho) L] = classical Fisher information
-    probs, dprobs = (0.5, 0.5), (0.1, -0.1)
-    tr_rho_L2 = sum(p * l * l for p, l in zip(probs, L))
-    tr_drho_L = sum(dp * l for dp, l in zip(dprobs, L))
-    cfi = classical_fisher(OutcomeDistribution(probs, dprobs))
-    assert math.isclose(tr_rho_L2, 0.04, rel_tol=1e-15)
-    assert abs(tr_rho_L2 - tr_drho_L) < 1e-12
-    assert abs(tr_rho_L2 - cfi) < 1e-12
-
-
-def test_sld_diagonal_solves_defining_relation():
-    probs, dprobs = (0.25, 0.75), (0.03, -0.03)
-    L = sld_diagonal(probs, dprobs)
-    for p, dp, l in zip(probs, dprobs, L):
-        assert math.isclose(dp, 0.5 * (p * l + l * p), rel_tol=1e-14)
-
-
-def test_sld_diagonal_zero_support():
-    with pytest.raises(SingularOutcomeError):
-        sld_diagonal((1.0, 0.0), (0.0, 0.0))
-
-
-def test_sld_matches_probe_state():
-    st = probe(ModelParams(1.0, 1.0, 1.0))
-    denom = (1.0 + st.X) ** 2
-    dp0 = -st.dX / denom
-    L = sld_diagonal((st.p0, st.p1), (dp0, -dp0))
-    assert math.isclose(L[0], dp0 / st.p0, rel_tol=1e-15)
-    assert math.isclose(L[1], -dp0 / st.p1, rel_tol=1e-15)
 
 
 def test_cramer_rao_ordering_under_coarse_graining():
