@@ -1,29 +1,12 @@
-"""Build script for the optional compiled integrator kernel.
+"""Build script; the package itself is declared in ``pyproject.toml``.
 
-The package is pure Python except for ``cosmo_qfi._kernel._mode_rk``, a Cython
-translation of the pure-Python Dormand-Prince stepper in
-``cosmo_qfi._kernel.pure``.  The build degrades gracefully: without Cython or
-a C compiler the install still succeeds and the package selects the pure
-backend at import time.
+The package is pure Python except for the optional integrator kernel
+``cosmo_qfi._kernel._mode_rk``, a hand-written C twin of the Dormand-Prince
+stepper in ``cosmo_qfi._kernel.pure``.  An install does not compile it: the
+README gives the one-line ``cc`` command that builds it in place, and without
+it the package selects the pure backend at import time.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "cosmo_qfi._kernel._mode_rk",
-                ["src/cosmo_qfi/_kernel/_mode_rk.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

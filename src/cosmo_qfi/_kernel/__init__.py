@@ -1,11 +1,12 @@
 """Backend selection for the mode-equation integrator.
 
-The compiled Cython kernel is preferred when it was built; the pure-Python
-twin is the fallback and can be forced with the COSMO_QFI_PURE environment
-variable (any nonempty value).  Both expose the same two entry points:
-`integrate_endpoint` and `integrate_pair_drift`.  The oracle calls only
-`integrate_pair_drift`; `integrate_endpoint` remains for the backend parity
-tests and for the benchmark's kernel tracing.
+The compiled kernel (`_mode_rk`, built from the hand-written `_mode_rk.c`)
+is preferred when it was built; the pure-Python twin is the fallback and can
+be forced with the COSMO_QFI_PURE environment variable (any nonempty value).
+Both expose the same two entry points: `integrate_endpoint` and
+`integrate_pair_drift`.  The oracle calls only `integrate_pair_drift`;
+`integrate_endpoint` remains for the backend parity tests and for the
+benchmark's kernel tracing.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Pure-Python Dormand-Prince 5(4) stepper for the mode equation.
 
-Reference implementation of the hot kernel; the compiled twin in `_mode_rk`
-uses the same tableau, the same step controller and the same status codes, so
-either backend can serve the oracle.  State is a flat float vector holding
-one or two solutions as (re psi, im psi, re dpsi, im dpsi) blocks; stacked
-solutions advance through identical step sequences, which is what makes the
-Wronskian monitor meaningful.
+Reference implementation of the hot kernel; the compiled twin, written in C
+in `_mode_rk.c`, uses the same tableau, the same step controller and the same
+status codes, so either backend can serve the oracle.  State is a flat float
+vector holding one or two solutions as (re psi, im psi, re dpsi, im dpsi)
+blocks; stacked solutions advance through identical step sequences, which is
+what makes the Wronskian monitor meaningful.
 
 The equation integrated is
 

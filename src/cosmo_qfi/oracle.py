@@ -48,6 +48,8 @@ class IntegrationConfig:
     branch: str = "minus"
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.eta_span):
+            raise ValueError(f"eta_span must be finite, got {self.eta_span}")
         if 1.0 - abs(math.tanh(self.eta_span)) >= 1e-12:
             raise ValueError(
                 f"eta_span {self.eta_span} too small: scale factor not saturated"
@@ -117,8 +119,8 @@ def integrate_mode(
     span = cfg.eta_span
     if eta0 is None:
         eta0 = -span
-    elif eta0 > -span:
-        raise ValueError("eta0 must lie at or before -eta_span")
+    elif not (math.isfinite(eta0) and eta0 <= -span):
+        raise ValueError(f"eta0 must be finite and at or before -eta_span, got {eta0}")
     _check_window(p, span, eta0)
     f = frequencies(p)
     sign = _BRANCH_SIGN[cfg.branch]

@@ -3,7 +3,6 @@
 import importlib.util
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -41,7 +40,8 @@ def _omega_in(m, k):
 def compiled(tmp_path_factory):
     """The compiled kernel: the package's own build if there is one, else the
     shipped _mode_rk.c compiled into a temporary directory and loaded from
-    there, without registering it as a package module."""
+    there, without registering it as a package module.  The C source is
+    maintained by hand, so any compiler warning fails the build."""
     try:
         return importlib.import_module(COMPILED)
     except ImportError:
@@ -53,12 +53,21 @@ def compiled(tmp_path_factory):
     source = Path(pure.__file__).with_name("_mode_rk.c")
     target = tmp_path_factory.mktemp("kernel") / (
         "_mode_rk" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O3", "-shared", "-fPIC", f"-I{include}", str(source),
-                    "-o", str(target)], check=True, capture_output=True, timeout=300)
+    subprocess.run([cc, "-O3", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}",
+                    str(source), "-o", str(target)], check=True, capture_output=True,
+                   timeout=300)
     spec = importlib.util.spec_from_file_location(COMPILED, target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=[pure.__name__, COMPILED])
+def kernel(request):
+    """Each backend in turn: the pure twin, then the compiled kernel."""
+    if request.param == COMPILED:
+        return request.getfixturevalue("compiled")
+    return pure
 
 
 def test_backends_agree_on_endpoint(compiled):
@@ -83,10 +92,7 @@ def test_backends_agree_on_drift(compiled):
     assert abs(dp - dc) <= 1e-10
 
 
-@pytest.mark.parametrize("impl", [pure, COMPILED])
-def test_kernel_against_scipy(impl, request):
-    if impl == COMPILED:
-        impl = request.getfixturevalue("compiled")
+def test_kernel_against_scipy(kernel):
     eps, m, k = POINT
     w_in = _omega_in(m, k)
     y0 = _ic(w_in, -SPAN)
@@ -104,23 +110,47 @@ def test_kernel_against_scipy(impl, request):
         ]
 
     ref = solve_ivp(rhs, (-SPAN, SPAN), y0, method="DOP853", rtol=1e-12, atol=1e-13)
-    got, _, status = impl.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+    got, _, status = kernel.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
     assert status == 0
     for a, b in zip(got, ref.y[:, -1]):
         assert abs(a - b) < 1e-8
 
 
-def test_pure_kernel_rejects_bad_state_length():
-    with pytest.raises(ValueError):
-        pure.integrate_endpoint(1.0, 1.0, 1.0, -1.0, -15.0, 15.0, (1.0, 0.0), RTOL, ATOL)
-    with pytest.raises(ValueError):
-        pure.integrate_pair_drift(1.0, 1.0, 1.0, -1.0, -15.0, 15.0, (1.0,) * 4, RTOL, ATOL)
+def test_kernel_rejects_bad_state_length(kernel):
+    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    with pytest.raises(ValueError, match="^integrate_endpoint expects a 4-component state$"):
+        kernel.integrate_endpoint(*args, (1.0, 0.0), RTOL, ATOL)
+    with pytest.raises(ValueError, match="^integrate_endpoint expects a 4-component state$"):
+        kernel.integrate_endpoint(*args, (1.0,) * 8, RTOL, ATOL)
+    with pytest.raises(ValueError, match="^integrate_pair_drift expects an 8-component state$"):
+        kernel.integrate_pair_drift(*args, (1.0,) * 4, RTOL, ATOL)
 
 
-def test_pure_kernel_rejects_dependent_pair():
+def test_kernel_rejects_non_sequence_state(kernel):
+    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    with pytest.raises(TypeError):
+        kernel.integrate_endpoint(*args, 1.0, RTOL, ATOL)
+    with pytest.raises(TypeError):
+        kernel.integrate_pair_drift(*args, None, RTOL, ATOL)
+
+
+def test_kernel_rejects_dependent_pair(kernel):
     y = _ic(_omega_in(1.0, 1.0), -SPAN)
-    with pytest.raises(ValueError):
-        pure.integrate_pair_drift(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y + y, RTOL, ATOL)
+    with pytest.raises(ValueError, match="^initial Wronskian vanishes; solutions not independent$"):
+        kernel.integrate_pair_drift(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y + y, RTOL, ATOL)
+
+
+def test_kernel_reports_step_underflow(kernel):
+    # No step meets a relative tolerance of 1e-30, so h shrinks to the floor.
+    y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
+    _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y0, 1e-30, 1e-300)
+    assert status == kernel.STATUS_UNDERFLOW == pure.STATUS_UNDERFLOW
+
+
+def test_compiled_kernel_exposes_the_pure_contract(compiled):
+    assert compiled.BACKEND == "compiled"
+    for name in ("STATUS_OK", "STATUS_MAX_STEPS", "STATUS_UNDERFLOW"):
+        assert getattr(compiled, name) == getattr(pure, name)
 
 
 def test_env_var_forces_pure_backend():
@@ -136,25 +166,3 @@ def test_selected_backend_exposes_contract():
     for name in ("integrate_endpoint", "integrate_pair_drift", "BACKEND"):
         assert hasattr(_kernel.impl, name)
     assert _kernel.BACKEND in ("pure", "compiled")
-
-
-def test_generated_c_quotes_the_current_pyx():
-    # Cython quotes every compiled .pyx line in the .c it generates, under a
-    # '/* "<file>.pyx":N' header with the line marked '# <<<'.  A .pyx edited
-    # without regenerating the shipped .c shows up here as a mismatch.
-    kernel_dir = Path(pure.__file__).parent
-    pyx = (kernel_dir / "_mode_rk.pyx").read_text(encoding="utf-8").splitlines()
-    c_src = (kernel_dir / "_mode_rk.c").read_text(encoding="utf-8").splitlines()
-    header = re.compile(r'\s*/\* "cosmo_qfi/_kernel/_mode_rk\.pyx":(\d+)$')
-    marker = "             # <<<<<<<<<<<<<<"
-    headers, quoted, lineno = 0, [], None
-    for line in c_src:
-        found = header.match(line)
-        if found:
-            headers += 1
-            lineno = int(found.group(1))
-        elif lineno is not None and line.startswith(" * ") and line.endswith(marker):
-            quoted.append((lineno, line[3:-len(marker)]))
-            lineno = None
-    assert headers > 0 and len(quoted) == headers
-    assert [(n, q) for n, q in quoted if pyx[n - 1] != q] == []

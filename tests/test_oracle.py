@@ -126,3 +126,17 @@ def test_requires_massive_field():
 def test_eta0_must_precede_window():
     with pytest.raises(ValueError):
         integrate_mode(ModelParams(1.0, 1.0, 1.0), eta0=-10.0)
+
+
+@pytest.mark.parametrize("span", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_span(span):
+    # NaN fails every comparison, so the saturation check alone admits it.
+    with pytest.raises(ValueError, match="finite"):
+        IntegrationConfig(eta_span=span)
+
+
+@pytest.mark.parametrize("eta0", [float("nan"), float("-inf")])
+def test_eta0_must_be_finite(eta0):
+    # A NaN state makes every error estimate NaN, which no step size fixes.
+    with pytest.raises(ValueError, match="finite"):
+        integrate_mode(ModelParams(1.0, 1.0, 1.0), eta0=eta0)
