@@ -28,3 +28,4 @@ BACKEND = impl.BACKEND
 STATUS_OK = pure.STATUS_OK
 STATUS_MAX_STEPS = pure.STATUS_MAX_STEPS
 STATUS_UNDERFLOW = pure.STATUS_UNDERFLOW
+STATUS_NONFINITE = pure.STATUS_NONFINITE

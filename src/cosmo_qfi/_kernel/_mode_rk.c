@@ -17,7 +17,7 @@
 #include <Python.h>
 #include <math.h>
 
-enum { ST_OK = 0, ST_MAX_STEPS = 1, ST_UNDERFLOW = 2 };
+enum { ST_OK = 0, ST_MAX_STEPS = 1, ST_UNDERFLOW = 2, ST_NONFINITE = 3 };
 
 /* Dormand-Prince 5(4) tableau. */
 static const double C2 = 0.2, C3 = 0.3, C4 = 0.8, C5 = 8.0 / 9.0;
@@ -145,6 +145,9 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
                     *max_drift = drift;
             }
             fac = err == 0.0 ? 5.0 : clamp(0.9 * pow(err, -0.2), 0.2, 5.0);
+        } else if (isnan(err)) {
+            /* No step size makes a NaN estimate pass; stop before h turns NaN. */
+            return ST_NONFINITE;
         } else {
             fac = clamp(0.9 * pow(err, -0.2), 0.2, 1.0);
         }
@@ -251,7 +254,8 @@ PyMODINIT_FUNC PyInit__mode_rk(void)
     if (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
         || PyModule_AddIntConstant(mod, "STATUS_OK", ST_OK) < 0
         || PyModule_AddIntConstant(mod, "STATUS_MAX_STEPS", ST_MAX_STEPS) < 0
-        || PyModule_AddIntConstant(mod, "STATUS_UNDERFLOW", ST_UNDERFLOW) < 0) {
+        || PyModule_AddIntConstant(mod, "STATUS_UNDERFLOW", ST_UNDERFLOW) < 0
+        || PyModule_AddIntConstant(mod, "STATUS_NONFINITE", ST_NONFINITE) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -50,6 +50,8 @@ class IntegrationConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.eta_span):
             raise ValueError(f"eta_span must be finite, got {self.eta_span}")
+        if self.eta_span <= 0.0:
+            raise ValueError(f"eta_span must be positive, got {self.eta_span}")
         if 1.0 - abs(math.tanh(self.eta_span)) >= 1e-12:
             raise ValueError(
                 f"eta_span {self.eta_span} too small: scale factor not saturated"
@@ -92,6 +94,8 @@ def _raise_on_status(status: int, p: ModelParams) -> None:
         raise IntegrationError(f"step budget exhausted at {p}")
     if status == _kernel.STATUS_UNDERFLOW:
         raise IntegrationError(f"step size underflow at {p}")
+    if status == _kernel.STATUS_NONFINITE:
+        raise IntegrationError(f"non-finite error estimate at {p}")
 
 
 def _in_mode_state(omega_in: float, eta0: float) -> tuple[float, float, float, float]:

@@ -36,6 +36,11 @@ def _omega_in(m, k):
     return math.hypot(m, k)
 
 
+def _pair(y):
+    # The in-mode stacked with its opposite-frequency partner, as the oracle does.
+    return y + (y[0], y[1], -y[2], -y[3])
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernel: the package's own build if there is one, else the
@@ -145,11 +150,67 @@ def test_kernel_reports_step_underflow(kernel):
     y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
     _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y0, 1e-30, 1e-300)
     assert status == kernel.STATUS_UNDERFLOW == pure.STATUS_UNDERFLOW
+    _, _, _, status = kernel.integrate_pair_drift(
+        1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, _pair(y0), 1e-30, 1e-300)
+    assert status == pure.STATUS_UNDERFLOW
+
+
+def test_kernel_stops_on_nan_error_estimate(kernel):
+    # m^2 overflows to inf, so every error estimate is NaN.  Before the NaN
+    # stop, both twins spun until their 5 000 000-attempt budget ran out.
+    y0 = _ic(1.0, -SPAN)
+    y, drift, steps, status = kernel.integrate_pair_drift(
+        1.0, 1e160, 1.0, SIGN, -SPAN, SPAN, _pair(y0), RTOL, ATOL)
+    assert (y, drift, steps, status) == (_pair(y0), 0.0, 0, pure.STATUS_NONFINITE)
+    y, steps, status = kernel.integrate_endpoint(1.0, 1e160, 1.0, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+    assert (y, steps, status) == (y0, 0, pure.STATUS_NONFINITE)
+
+
+def _reference_pair_drift(eps, m, k, sign, eta0, eta1, y0, rtol, atol):
+    """integrate_pair_drift on the generic stepper: `_advance` with a
+    Wronskian monitor."""
+    w0r, w0i = pure._wronskian(y0)
+    w0_abs = math.hypot(w0r, w0i)
+    worst = 0.0
+
+    def monitor(state):
+        nonlocal worst
+        wr, wi = pure._wronskian(state)
+        worst = max(worst, math.hypot(wr - w0r, wi - w0i) / w0_abs)
+
+    y, steps, status = pure._advance(eps, m, k, sign, eta0, eta1, list(y0), rtol, atol, monitor)
+    return tuple(y), worst, steps, status
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch, sign):
+    # The unrolled stepper writes every expression in _advance's order, so
+    # its steps and returns must equal the reference's exactly.
+    derivs = []
+    real = pure._deriv
+
+    def counted(*args):
+        derivs.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(pure, "_deriv", counted)
+    rejected = 0
+    for eps, m, k, rtol, atol in [(1.0, 1.0, 1.0, 1e-9, 1e-11), (0.5, 5.0, 2.0, 1e-8, 1e-10),
+                                  (2.0, 0.3, 0.7, 1e-6, 1e-8)]:
+        y0 = _pair(_ic(_omega_in(m, k), -SPAN))
+        args = (eps, m, k, sign, -SPAN, SPAN, y0, rtol, atol)
+        derivs.clear()
+        want = _reference_pair_drift(*args)
+        assert pure.integrate_pair_drift(*args) == want
+        assert want[3] == pure.STATUS_OK
+        # _advance makes one _deriv call up front and six per attempt.
+        rejected += (len(derivs) - 1) // 6 - want[2]
+    assert rejected > 0
 
 
 def test_compiled_kernel_exposes_the_pure_contract(compiled):
     assert compiled.BACKEND == "compiled"
-    for name in ("STATUS_OK", "STATUS_MAX_STEPS", "STATUS_UNDERFLOW"):
+    for name in ("STATUS_OK", "STATUS_MAX_STEPS", "STATUS_UNDERFLOW", "STATUS_NONFINITE"):
         assert getattr(compiled, name) == getattr(pure, name)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from cosmo_qfi import (
     IntegrationConfig,
+    IntegrationError,
     ModelParams,
     WindowTooSmallError,
     _kernel,
@@ -133,6 +134,19 @@ def test_config_rejects_non_finite_span(span):
     # NaN fails every comparison, so the saturation check alone admits it.
     with pytest.raises(ValueError, match="finite"):
         IntegrationConfig(eta_span=span)
+
+
+@pytest.mark.parametrize("span", [-20.0, 0.0])
+def test_config_rejects_non_positive_span(span):
+    # The saturation check takes |tanh(span)|, so it alone admits -20.
+    with pytest.raises(ValueError, match="positive"):
+        IntegrationConfig(eta_span=span)
+
+
+def test_overflowing_mass_raises_integration_error():
+    # m^2 overflows, so the first error estimate is NaN.
+    with pytest.raises(IntegrationError, match="non-finite error estimate"):
+        integrate_mode(ModelParams(1.0, 1e160, 1.0))
 
 
 @pytest.mark.parametrize("eta0", [float("nan"), float("-inf")])
