@@ -70,7 +70,8 @@ class MatchResult:
     fit_residual measures how well the matched superposition reproduces the
     integrated solution and its derivative one backoff interval before the
     endpoint, relative to |A|.  wronskian_drift bounds the relative drift of
-    the pair's Wronskian over the whole integration.
+    the pair's Wronskian over the whole integration.  steps counts the
+    integrator's accepted steps over both legs.
     """
 
     A_num: complex
@@ -78,6 +79,7 @@ class MatchResult:
     ratio_sq: float
     fit_residual: float
     wronskian_drift: float
+    steps: int
 
 
 def _check_window(p: ModelParams, span: float, eta0: float) -> None:
@@ -133,13 +135,13 @@ def integrate_mode(
     # Partner solution: same value, opposite-frequency derivative.
     y = base + (base[0], base[1], -base[2], -base[3])
     checkpoint = span - _CHECKPOINT_BACKOFF
-    y, d1, _, status = _kernel.impl.integrate_pair_drift(
+    y, d1, steps1, status = _kernel.impl.integrate_pair_drift(
         p.eps, p.m_tilde, p.k_tilde, sign, eta0, checkpoint, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
     psi_c = complex(y[0], y[1])
     dpsi_c = complex(y[2], y[3])
-    y, d2, _, status = _kernel.impl.integrate_pair_drift(
+    y, d2, steps2, status = _kernel.impl.integrate_pair_drift(
         p.eps, p.m_tilde, p.k_tilde, sign, checkpoint, span, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
@@ -168,6 +170,7 @@ def integrate_mode(
         # |W - W_0| <= d2 |W_c| + d1 |W_0| <= (d1 + d2 (1 + d1)) |W_0|: the
         # combined figure never under-reports the drift from the start.
         wronskian_drift=d1 + d2 * (1.0 + d1),
+        steps=steps1 + steps2,
     )
 
 

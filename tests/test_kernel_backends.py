@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from cosmo_qfi._kernel import pure
 COMPILED = "cosmo_qfi._kernel._mode_rk"
 
 POINT = (1.0, 1.0, 1.0)  # eps, m, k
+POINTS = (POINT, (0.5, 5.0, 2.0))
 SIGN = -1.0
 SPAN = 15.0
 RTOL, ATOL = 1e-12, 1e-14
@@ -76,25 +78,26 @@ def kernel(request):
 
 
 def test_backends_agree_on_endpoint(compiled):
-    eps, m, k = POINT
-    y0 = _ic(_omega_in(m, k), -SPAN)
-    yp, sp, stp = pure.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
-    yc, sc, stc = compiled.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
-    assert stp == stc == 0
-    scale = max(abs(v) for v in yp)
-    for a, b in zip(yp, yc):
-        assert abs(a - b) <= 1e-10 * scale
+    # The twins sum every stage in the same order, so they take the same steps.
+    for eps, m, k in POINTS:
+        y0 = _ic(_omega_in(m, k), -SPAN)
+        yp, sp, stp = pure.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        yc, sc, stc = compiled.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        assert stp == stc == 0
+        assert sp == sc
+        scale = max(abs(v) for v in yp)
+        for a, b in zip(yp, yc):
+            assert abs(a - b) <= 1e-10 * scale
 
 
 def test_backends_agree_on_drift(compiled):
-    eps, m, k = POINT
-    w = _omega_in(m, k)
-    base = _ic(w, -SPAN)
-    other = (base[0], base[1], -base[2], -base[3])
-    _, dp, _, stp = pure.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, base + other, RTOL, ATOL)
-    _, dc, _, stc = compiled.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, base + other, RTOL, ATOL)
-    assert stp == stc == 0
-    assert abs(dp - dc) <= 1e-10
+    for eps, m, k in POINTS:
+        y0 = _pair(_ic(_omega_in(m, k), -SPAN))
+        _, dp, sp, stp = pure.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        _, dc, sc, stc = compiled.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        assert stp == stc == 0
+        assert sp == sc
+        assert abs(dp - dc) <= 1e-10
 
 
 def test_kernel_against_scipy(kernel):
@@ -166,6 +169,49 @@ def test_kernel_stops_on_nan_error_estimate(kernel):
     assert (y, steps, status) == (y0, 0, pure.STATUS_NONFINITE)
 
 
+def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
+    # The scaled error overflows, so every estimate is inf: the step is
+    # rejected and h shrinks to the floor.  Hairer's formula taken literally
+    # would read inf / inf as NaN and stop the run as non-finite instead.
+    y0 = tuple(1e150 * v for v in _ic(_omega_in(1.0, 1.0), -SPAN))
+    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    _, steps, status = kernel.integrate_endpoint(*args, y0, 1e-300, 1e-300)
+    assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
+    _, _, steps, status = kernel.integrate_pair_drift(*args, _pair(y0), 1e-300, 1e-300)
+    assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
+
+
+def test_kernel_accepts_zero_error_estimate(kernel):
+    # The zero solution has a zero error estimate, which 0 / 0 would make NaN.
+    y, steps, status = kernel.integrate_endpoint(
+        1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
+    assert (y, status) == ((0.0,) * 4, pure.STATUS_OK)
+    assert steps > 0
+
+
+def test_pure_tableau_is_scipys_dop853():
+    # Every tableau constant of the pure twin equals SciPy's copy of Hairer's
+    # dop853.f values; the C twin is held to the same steps by the parity tests.
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    n, b = ref.N_STAGES, ref.A[ref.N_STAGES]
+    want = {f"_C{s}": ref.C[s] for s in range(1, n - 1)}
+    want.update({f"_A{s}_{j}": ref.A[s, j] for s in range(1, n) for j in range(s) if ref.A[s, j]})
+    want.update({f"_B{j}": b[j] for j in range(n) if b[j]})
+    want.update({f"_E{j}": ref.E5[j] for j in range(n) if ref.E5[j]})
+    # SciPy folds the 3rd-order weights into E3 = B - BHH.
+    want.update({f"_E3_{j}": ref.E3[j] for j in range(n) if ref.E3[j] != b[j]})
+    have = {k: v for k, v in vars(pure).items() if re.fullmatch(r"_[ABCE]\d+(_\d+)?", k)}
+    have.update({f"_E3_{k[4:]}": have[f"_B{k[4:]}"] - v
+                 for k, v in vars(pure).items() if re.fullmatch(r"_BHH\d+", k)})
+    assert have == want
+    # The generic stepper's tables hold the same entries in the same places.
+    nonzero = lambda row: tuple((j, row[j]) for j in range(n) if row[j])
+    assert pure._STAGES == tuple((ref.C[s], nonzero(ref.A[s])) for s in range(1, n))
+    assert pure._WEIGHTS == nonzero(b)
+    assert pure._ERR5 == nonzero(ref.E5)
+
+
 def _reference_pair_drift(eps, m, k, sign, eta0, eta1, y0, rtol, atol):
     """integrate_pair_drift on the generic stepper: `_advance` with a
     Wronskian monitor."""
@@ -203,8 +249,9 @@ def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch, sign):
         want = _reference_pair_drift(*args)
         assert pure.integrate_pair_drift(*args) == want
         assert want[3] == pure.STATUS_OK
-        # _advance makes one _deriv call up front and six per attempt.
-        rejected += (len(derivs) - 1) // 6 - want[2]
+        # _advance makes one _deriv call up front, eleven per attempt and
+        # one more (the next step's first stage) per accepted step.
+        rejected += (len(derivs) - 1 - want[2]) // 11 - want[2]
     assert rejected > 0
 
 

@@ -1,6 +1,7 @@
 """Mode-equation oracle: agreement with closed forms, integrator quality."""
 
 import cmath
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,6 +100,23 @@ def test_combined_drift_is_a_tight_bound(point):
     )
     assert status == _kernel.STATUS_OK
     assert abs(drift - full) <= 0.05 * full
+
+
+def test_integration_work_is_reported(monkeypatch):
+    # steps sums both legs' accepted steps.  DOP853 takes 1 312 here, where
+    # Dormand-Prince 5(4) took 19 507 at the same tolerance.
+    legs = []
+    impl = _kernel.impl
+
+    def integrate_pair_drift(*args):
+        out = impl.integrate_pair_drift(*args)
+        legs.append(out[2])
+        return out
+
+    monkeypatch.setattr(_kernel, "impl", SimpleNamespace(integrate_pair_drift=integrate_pair_drift))
+    match = integrate_mode(ModelParams(0.5, 5.0, 2.0))
+    assert len(legs) == 2
+    assert match.steps == sum(legs) < 2000
 
 
 def test_window_too_small_raises():
