@@ -7,7 +7,21 @@ ratio eps.  This package computes the closed-form Bogoliubov mixing behind
 that state, the quantum Fisher information and Cramer-Rao bound for
 estimating eps, sweep curves and optimal probe parameters, and validates the
 closed forms against direct integration of the mode equation.
+
+`import cosmo_qfi` loads the closed-form core that every CLI command runs
+(`errors`, `cosmology`, `specfun`, `bogoliubov`, `probe`) and the kernel
+backend selection (`_kernel`), nothing else.  `_kernel` stays eager so that
+`kernel_backend` is a plain attribute; `probe` stays eager so that
+`cosmo_qfi.probe` is the function (importing the submodule later would rebind
+that attribute to the module).  The exports of `sweeps`, `oracle` and `qfi`
+resolve on first access through the module `__getattr__` (PEP 562), which
+imports their home module then: a `point` evaluation never pays for the sweep
+engine, the thread pool, the mode-equation oracle or the spectral QFI.  Lazy
+names are not cached on the package, so each access reads the home module's
+current binding.
 """
+
+from importlib import import_module as _import_module
 
 from ._kernel import BACKEND as kernel_backend
 from .bogoliubov import (
@@ -33,7 +47,6 @@ from .errors import (
     SingularOutcomeError,
     WindowTooSmallError,
 )
-from .oracle import IntegrationConfig, MatchResult, integrate_mode, wronskian_drift
 from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
@@ -43,13 +56,16 @@ from .probe import (
     qfi_eps,
     state_entropy,
 )
-from .qfi import (
-    OutcomeDistribution,
-    SpectralFamily,
-    classical_fisher,
-    qfi_spectral,
-)
-from .sweeps import OptimumResult, SweepRow, SweepSpec, optimize, sweep
+
+# Export name -> submodule, for the layers loaded on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("IntegrationConfig", "MatchResult", "integrate_mode", "wronskian_drift"), "oracle"),
+    **dict.fromkeys(
+        ("OutcomeDistribution", "SpectralFamily", "classical_fisher", "qfi_spectral"), "qfi"),
+    **dict.fromkeys(
+        ("OptimumResult", "SweepRow", "SweepSpec", "optimize", "sweep"), "sweeps"),
+}
 
 __version__ = "0.1.0"
 
@@ -99,3 +115,14 @@ __all__ = [
     "wronskian_drift",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -8,6 +8,12 @@ Exit codes are a stable contract: 0 success, 1 verification failure, 2 usage
 error, 3 degenerate-parameter evaluation, 4 output I/O error.  All output is
 deterministic for identical flags: every float is printed in shortest
 round-trip form and manifests carry no timestamps.
+
+Only the closed-form core that `point` runs is imported with this module.
+`sweep` and `optimize` import the sweep engine (and with it the thread pool)
+when they run, and `verify` imports the verification suites (and with them
+the mode-equation oracle and the spectral QFI) when it runs, so no command
+pays at start-up for layers it does not use.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from .bogoliubov import ANALYTIC, FINITE_DIFFERENCE
 from .cosmology import ModelParams
 from .errors import CosmoQfiError
 from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy
-from .sweeps import SweepSpec, optimize, sweep
-from .verify import run_all
 
 _DERIV_FLAGS = {"analytic": ANALYTIC, "fd": FINITE_DIFFERENCE}
 _VAR_FLAGS = {"m": "m_tilde", "k": "k_tilde", "eps": "eps"}
@@ -141,6 +145,8 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweeps import SweepSpec, sweep
+
     variable = _VAR_FLAGS[args.var]
     spec = SweepSpec(
         variable=variable,
@@ -178,6 +184,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .sweeps import optimize
+
     variable = _VAR_FLAGS[args.var]
     result = optimize(
         variable,
@@ -199,6 +207,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_all
+
     results = run_all(args.points, args.ode_points)
     width = max(len(r.name) for r in results)
     print(f"{'check':<{width}}  {'worst':>10}  {'tolerance':>10}  status")

@@ -87,7 +87,13 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
         llo, lhi = math.log(lo), math.log(hi)
         vals = [math.exp(llo + i * (lhi - llo) / (points - 1)) for i in range(points)]
     else:
-        vals = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
+        # i * (hi - lo) overflows on wide finite ranges; only there is i / n
+        # taken first, so every other point is lo + i * (hi - lo) / n to the bit.
+        span, n = hi - lo, points - 1
+        vals = []
+        for i in range(points):
+            t = i * span
+            vals.append(lo + (t / n if t != math.inf else i / n * span))
     vals[0], vals[-1] = lo, hi  # endpoints exact
     return vals
 

@@ -152,17 +152,38 @@ def test_point_evaluates_the_probe_once(capsys, probe_calls):
     assert len(probe_calls) == 1
 
 
-def test_import_loads_neither_numpy_nor_scipy():
-    probe = (
-        "import sys, cosmo_qfi, cosmo_qfi.cli; "
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+def test_import_loads_neither_numpy_nor_scipy(tmp_path):
+    # Each command loads only the layers it runs: in a fresh interpreter,
+    # record the loaded modules after `point`, then after a `sweep`.
+    script = (
+        "import json, sys\n"
+        "from cosmo_qfi.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('numpy', 'scipy', 'concurrent', 'cosmo_qfi'))\n"
+        "main(['point']); point = loaded()\n"
+        "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); swept = loaded()\n"
+        "import cosmo_qfi, cosmo_qfi.oracle\n"
+        "probe_is_function = cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe\n"
+        "import cosmo_qfi.qfi, cosmo_qfi.verify; everything = loaded()\n"
+        "print(json.dumps([point, swept, everything, probe_is_function]))\n"
     )
     src = str(Path(cosmo_qfi.__file__).resolve().parents[1])
     res = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
     )
-    assert res.stdout.strip() == ""
+    point, swept, everything, probe_is_function = json.loads(res.stdout.splitlines()[-1])
+    # no module of the package, once all are loaded, pulls in NumPy or SciPy
+    for loaded in (point, swept, everything):
+        assert not [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")]
+    for loaded in (point, swept):
+        assert not {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} & set(loaded)
+    assert {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} <= set(everything)
+    assert "cosmo_qfi.probe" in point
+    assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(point)
+    assert "cosmo_qfi.sweeps" in swept
+    # loading sweeps and oracle later leaves the package's `probe` the function
+    assert probe_is_function
 
 
 def test_unwritable_output_exits_four(capsys, tmp_path):
@@ -247,6 +268,48 @@ def test_sweep_massless_row_sentinel(capsys, tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[1]) == 0.0
     assert math.isinf(float(first[2]))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--var", "eps", "--lo", "0.5", "--hi", "1e308", "--points", "1000"],
+        ["--var", "k", "--lo", "1e-300", "--hi", "1.7e308", "--points", "4"],
+    ],
+)
+def test_sweep_over_a_wide_finite_range(capsys, tmp_path, flags):
+    # i * (hi - lo) overflows here; the grid must stay finite and ascending
+    out = tmp_path / "wide.csv"
+    code, _, err = run(capsys, "sweep", *flags, "--out", str(out))
+    assert code == 0, err
+    values = [float(line.split(",")[0]) for line in out.read_text().splitlines()[2:]]
+    assert len(values) == int(flags[-1])
+    assert values[0] == float(flags[3]) and values[-1] == float(flags[5])
+    assert all(math.isfinite(v) for v in values)
+    assert values == sorted(values)
+
+
+def test_sweep_grid_is_unchanged_where_no_overflow(capsys, tmp_path):
+    out = tmp_path / "k.csv"
+    code, _, _ = run(capsys, "sweep", "--var", "k", "--lo", "0.2", "--hi", "6",
+                     "--points", "30", "--out", str(out))
+    assert code == 0
+    values = [line.split(",")[0] for line in out.read_text().splitlines()[2:]]
+    expected = [0.2 + i * (6 - 0.2) / 29 for i in range(30)]
+    expected[-1] = 6.0
+    assert values == [repr(v) for v in expected]
+
+
+def test_optimize_over_a_wide_finite_range(capsys):
+    code, out, err = run(capsys, "optimize", "--var", "m", "--lo", "0.001", "--hi", "1e308")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert 0.001 < doc["optimum"] < 1e308
+    assert math.isfinite(doc["bound"])
+    # the grid no longer overflows into a usage error on this range either
+    code, _, err = run(capsys, "optimize", "--var", "m", "--lo", "1e-300", "--hi", "1e308")
+    assert code != 2, err
+    assert "got inf" not in err
 
 
 def test_optimize_json_contract(capsys):
