@@ -17,7 +17,7 @@ implementations (exact chain rule and Richardson finite differences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
 from .errors import DegenerateParameterError, DerivativeStepError
@@ -31,19 +31,15 @@ FINITE_DIFFERENCE = "finite_difference"
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class BogoliubovPair:
+class BogoliubovPair(namedtuple(
+        "BogoliubovPair", ("branch", "log_abs_A", "log_abs_B", "phase_A", "phase_B"))):
     """Log-magnitudes and phases of the mixing coefficients of one branch."""
 
-    branch: str
-    log_abs_A: float
-    log_abs_B: float
-    phase_A: float
-    phase_B: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CreationFactor:
+class CreationFactor(namedtuple(
+        "CreationFactor", ("mixing_sq", "X", "dX_deps", "derivative_method"))):
     """Particle-creation strength and probe excitation weight at one point.
 
     mixing_sq is |B/A|^2 of the minus branch, X = mixing_sq * chi_abs^2 and
@@ -51,10 +47,7 @@ class CreationFactor:
     named in derivative_method.
     """
 
-    mixing_sq: float
-    X: float
-    dX_deps: float
-    derivative_method: str
+    __slots__ = ()
 
 
 def _check_branch(branch: str) -> None:
@@ -204,7 +197,7 @@ def dX_deps_fd(p: ModelParams, h: float | None = None) -> float:
         raise DerivativeStepError(f"fd step {h} too large at eps = {p.eps}")
 
     def X_at(e: float) -> float:
-        return _weight(replace(p, eps=e))
+        return _weight(ModelParams(eps=e, m_tilde=p.m_tilde, k_tilde=p.k_tilde))
 
     d_full = (X_at(p.eps + h) - X_at(p.eps - h)) / (2.0 * h)
     d_half = (X_at(p.eps + 0.5 * h) - X_at(p.eps - 0.5 * h)) / h

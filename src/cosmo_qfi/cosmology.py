@@ -9,6 +9,7 @@ only through these dimensionless combinations.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DegenerateParameterError
@@ -41,8 +42,9 @@ class ModelParams:
             raise ValueError(f"k_tilde must be finite and > 0, got {self.k_tilde}")
 
 
-@dataclass(frozen=True)
-class FrequencySet:
+class FrequencySet(namedtuple("FrequencySet", (
+        "omega_in", "omega_out", "omega_plus", "omega_minus",
+        "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"))):
     """Asymptotic frequencies and the sinh/Gamma argument combinations.
 
     zeta_pp, zeta_pm, zeta_mp, zeta_mm are omega_plus + m*eps,
@@ -50,16 +52,7 @@ class FrequencySet:
     three are strictly positive for m_tilde > 0 while zeta_mm may cross zero.
     """
 
-    omega_in: float
-    omega_out: float
-    omega_plus: float
-    omega_minus: float
-    zeta_pp: float
-    zeta_pm: float
-    zeta_mp: float
-    zeta_mm: float
-    mu_out: float
-    chi_abs: float
+    __slots__ = ()
 
 
 def scale_factor(eta: float, eps: float, rho: float) -> float:
@@ -94,17 +87,11 @@ def frequencies(p: ModelParams) -> FrequencySet:
     omega_minus = 0.5 * (omega_out - omega_in)
     me = m * eps
     chi_abs = 0.0 if m == 0.0 else k / (omega_out + mu_out)
+    # Positional: keyword binding would double the cost of building the record.
     return FrequencySet(
-        omega_in=omega_in,
-        omega_out=omega_out,
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
-        zeta_pp=omega_plus + me,
-        zeta_pm=omega_plus - me,
-        zeta_mp=omega_minus + me,
-        zeta_mm=omega_minus - me,
-        mu_out=mu_out,
-        chi_abs=chi_abs,
+        omega_in, omega_out, omega_plus, omega_minus,
+        omega_plus + me, omega_plus - me, omega_minus + me, omega_minus - me,
+        mu_out, chi_abs,
     )
 
 

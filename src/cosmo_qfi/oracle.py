@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import _kernel
@@ -63,8 +64,8 @@ class IntegrationConfig:
             raise ValueError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(namedtuple("MatchResult", (
+        "A_num", "B_num", "ratio_sq", "fit_residual", "wronskian_drift", "steps"))):
     """Matched mixing coefficients and the quality of the plane-wave fit.
 
     fit_residual measures how well the matched superposition reproduces the
@@ -74,12 +75,7 @@ class MatchResult:
     integrator's accepted steps over both legs.
     """
 
-    A_num: complex
-    B_num: complex
-    ratio_sq: float
-    fit_residual: float
-    wronskian_drift: float
-    steps: int
+    __slots__ = ()
 
 
 def _check_window(p: ModelParams, span: float, eta0: float) -> None:

@@ -11,7 +11,7 @@ equals the quantum Fisher information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bogoliubov import ANALYTIC, excitation_weight
 from .cosmology import ModelParams
@@ -22,18 +22,14 @@ DEFAULT_TRIALS = 10**11  # repetition count used for the published bound curves
 _IDENTITY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ProbeState:
+class ProbeState(namedtuple("ProbeState", ("p0", "p1", "X", "dX"))):
     """Two-outcome diagonal probe state with its excitation weight."""
 
-    p0: float
-    p1: float
-    X: float
-    dX: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EstimationResult:
+class EstimationResult(namedtuple(
+        "EstimationResult", ("qfi", "state", "bound", "trials", "derivative_method"))):
     """Fisher information and Cramer-Rao bound for a parameter point.
 
     bound is the lower bound on the squared error after `trials` repetitions,
@@ -41,18 +37,14 @@ class EstimationResult:
     state is the probe state the figures were computed from.
     """
 
-    qfi: float
-    state: ProbeState
-    bound: float
-    trials: float
-    derivative_method: str
+    __slots__ = ()
 
 
 def probe(p: ModelParams, deriv_method: str = ANALYTIC) -> ProbeState:
     """Reduced particle-mode state at the given channel parameters."""
     cf = excitation_weight(p, deriv_method)
     p0 = 1.0 / (1.0 + cf.X)
-    return ProbeState(p0=p0, p1=cf.X * p0, X=cf.X, dX=cf.dX_deps)
+    return ProbeState(p0, cf.X * p0, cf.X, cf.dX_deps)
 
 
 def state_entropy(state: ProbeState) -> float:
@@ -108,10 +100,4 @@ def qfi_eps(
                 f"QFI forms disagree: literal={qfi!r} simplified={simplified!r}"
             )
     bnd = 1.0 / (trials * qfi) if qfi > 0.0 else math.inf
-    return EstimationResult(
-        qfi=qfi,
-        state=st,
-        bound=bnd,
-        trials=trials,
-        derivative_method=deriv_method,
-    )
+    return EstimationResult(qfi, st, bnd, trials, deriv_method)

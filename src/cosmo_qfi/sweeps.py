@@ -3,10 +3,10 @@
 Sweeps evaluate the estimation figures of merit over a one-dimensional grid
 in any of the three channel parameters; rows carry the entropy column so the
 entanglement comparison falls out of the same pass.  Optimization locates the
-coordinate minimizing the error bound with a dense pre-scan, then zooms in by
-re-scanning a finer grid over the two cells around the best point until the
-spacing is at most 1e-6.  The best point seen is kept, so the result can never
-be worse than the pre-scan and unimodality is not assumed.
+coordinate minimizing the error bound with a dense log-spaced pre-scan, then
+zooms in by re-scanning a finer linear grid over the two cells around the best
+point until the spacing is at most 1e-6.  The best point seen is kept, so the
+result can never be worse than the pre-scan and unimodality is not assumed.
 
 Grid points are independent; evaluation honors the COSMO_QFI_THREADS
 environment variable (a positive value is the thread count; a negative or
@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
 from .errors import CosmoQfiError
-from .probe import DEFAULT_TRIALS, EstimationResult, qfi_eps, state_entropy, probe
+from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy, probe
 
 SWEEP_VARIABLES = ("m_tilde", "k_tilde", "eps")
 
 _PRESCAN_POINTS = 1000
-_ZOOM_POINTS = 21  # odd, so each zoom grid is centred on the best point so far
+_ZOOM_POINTS = 21  # odd, so each later zoom grid is centred on the best point so far
 _REFINE_XATOL = 1e-6
 
 
@@ -71,15 +72,10 @@ class SweepSpec:
             raise ValueError(f"trials must be finite and >= 1, got {self.trials}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(namedtuple("SweepRow", ("value", "qfi", "bound", "entropy", "p1"))):
     """One grid point: swept value, QFI, error bound, entropy, excitation."""
 
-    value: float
-    qfi: float
-    bound: float
-    entropy: float
-    p1: float
+    __slots__ = ()
 
 
 def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
@@ -99,7 +95,11 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
 
 
 def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
-    return replace(fixed, **{variable: value})
+    # Built directly: dataclasses.replace costs several times more per point,
+    # and the constructor validates the point either way.
+    fields = {"eps": fixed.eps, "m_tilde": fixed.m_tilde, "k_tilde": fixed.k_tilde}
+    fields[variable] = value
+    return ModelParams(**fields)
 
 
 def _thread_count(releases_gil: bool) -> int:
@@ -159,14 +159,11 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
     return [one(v) for v in values]
 
 
-@dataclass(frozen=True)
-class OptimumResult:
+class OptimumResult(namedtuple(
+        "OptimumResult", ("variable", "coordinate", "estimation", "boundary_warning"))):
     """Located optimum of the error bound over one coordinate."""
 
-    variable: str
-    coordinate: float
-    estimation: EstimationResult
-    boundary_warning: bool
+    __slots__ = ()
 
 
 def optimize(
@@ -179,12 +176,13 @@ def optimize(
 ) -> OptimumResult:
     """Coordinate in [lo, hi] minimizing the error bound.
 
-    A dense pre-scan guards against local traps; the two cells around the
-    best point seen are then re-scanned on a finer grid, shrinking the
-    spacing tenfold each time, until it is at most 1e-6 absolute in the
-    coordinate (or the cells collapse below the spacing of doubles).  The
-    best point seen over all scans is returned.  boundary_warning is set when
-    the optimum lies within one pre-scan cell of either end.
+    A dense log-spaced pre-scan guards against local traps and reaches every
+    decade of a wide range.  The two cells around the best point seen are
+    then re-scanned on a finer linear grid, shrinking the spacing tenfold
+    each time, until it is at most 1e-6 absolute in the coordinate (or the
+    cells collapse below the spacing of doubles).  The best point seen over
+    all scans is returned.  boundary_warning is set when the optimum lies in
+    the first or last pre-scan cell.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -200,21 +198,28 @@ def optimize(
         return est.bound
 
     best_x, best_f = lo, math.inf
-    a, b, points = lo, hi, _PRESCAN_POINTS
-    while True:
-        step = (b - a) / (points - 1)
-        for v in _grid(a, b, points, "linear"):
+
+    def scan(grid: list[float]) -> None:
+        nonlocal best_x, best_f
+        for v in grid:
             f = objective(v)
             if f < best_f:
                 best_x, best_f = v, f
-        if math.isinf(best_f):
-            raise CosmoQfiError("bound is infinite over the whole scan range")
+
+    prescan = _grid(lo, hi, _PRESCAN_POINTS, "log")
+    scan(prescan)
+    if math.isinf(best_f):
+        raise CosmoQfiError("bound is infinite over the whole scan range")
+    i = prescan.index(best_x)
+    a, b = prescan[max(i - 1, 0)], prescan[min(i + 1, _PRESCAN_POINTS - 1)]
+    while True:
+        step = (b - a) / (_ZOOM_POINTS - 1)
+        scan(_grid(a, b, _ZOOM_POINTS, "linear"))
         if step <= _REFINE_XATOL:
             break
-        a, b, points = max(best_x - step, lo), min(best_x + step, hi), _ZOOM_POINTS
+        a, b = max(best_x - step, lo), min(best_x + step, hi)
 
-    cell = (hi - lo) / (_PRESCAN_POINTS - 1)
-    warn = (best_x - lo) <= cell or (hi - best_x) <= cell
+    warn = best_x <= prescan[1] or best_x >= prescan[-2]
     est = qfi_eps(_params_at(fixed, variable, best_x), trials=trials,
                   deriv_method=deriv_method)
     return OptimumResult(variable=variable, coordinate=best_x,

@@ -20,8 +20,8 @@ its tolerance.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import _kernel
 from .bogoliubov import coefficients, dX_deps_fd, mixing_sq_sinh, ratio_sq
@@ -52,14 +52,10 @@ ORACLE_POINTS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", ("name", "worst", "tolerance", "points"))):
     """Outcome of one verification check."""
 
-    name: str
-    worst: float
-    tolerance: float
-    points: int
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

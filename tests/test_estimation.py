@@ -8,7 +8,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from cosmo_qfi import ModelParams, SweepSpec, _kernel, optimize, sweep, sweeps, verify
+from cosmo_qfi import (
+    ModelParams,
+    SweepSpec,
+    _kernel,
+    optimize,
+    qfi_eps,
+    state_entropy,
+    sweep,
+    sweeps,
+    verify,
+)
 from cosmo_qfi._kernel import pure
 
 FIXED = ModelParams(1.0, 1.0, 1.0)
@@ -23,6 +33,10 @@ def test_sweep_rows_ordered_and_consistent():
     for r in rows:
         if r.qfi > 0.0:
             assert r.bound == 1.0 / (1e11 * r.qfi)
+        # a row is exactly the single-point evaluation at its coordinate
+        est = qfi_eps(ModelParams(eps=1.0, m_tilde=r.value, k_tilde=1.0), trials=1e11)
+        assert (r.qfi, r.bound) == (est.qfi, est.bound)
+        assert (r.entropy, r.p1) == (state_entropy(est.state), est.state.p1)
 
 
 def test_sweep_determinism():

@@ -1,0 +1,86 @@
+"""Result records are immutable named tuples; validated inputs still check
+every point a sweep, an optimization or a finite difference builds."""
+
+import math
+
+import pytest
+
+from cosmo_qfi import (
+    BogoliubovPair,
+    CreationFactor,
+    EstimationResult,
+    FrequencySet,
+    MatchResult,
+    ModelParams,
+    OptimumResult,
+    ProbeState,
+    SweepRow,
+    SweepSpec,
+    dX_deps_fd,
+    optimize,
+    sweep,
+)
+from cosmo_qfi.sweeps import SWEEP_VARIABLES, _params_at
+from cosmo_qfi.verify import CheckResult
+
+FIXED = ModelParams(1.0, 1.0, 1.0)
+
+# Field order of each record, as its positional constructor reads it.
+FIELDS = {
+    FrequencySet: ("omega_in", "omega_out", "omega_plus", "omega_minus",
+                   "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"),
+    BogoliubovPair: ("branch", "log_abs_A", "log_abs_B", "phase_A", "phase_B"),
+    CreationFactor: ("mixing_sq", "X", "dX_deps", "derivative_method"),
+    ProbeState: ("p0", "p1", "X", "dX"),
+    EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
+    SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
+    OptimumResult: ("variable", "coordinate", "estimation", "boundary_warning"),
+    MatchResult: ("A_num", "B_num", "ratio_sq", "fit_residual", "wronskian_drift", "steps"),
+    CheckResult: ("name", "worst", "tolerance", "points"),
+}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_record_fields_keep_their_order(cls):
+    assert cls._fields == FIELDS[cls]
+    rec = cls(*range(len(cls._fields)))
+    assert [getattr(rec, f) for f in cls._fields] == list(range(len(cls._fields)))
+    assert cls.__doc__.strip()
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_record_is_immutable(cls):
+    rec = cls(*range(len(cls._fields)))
+    for f in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, f, -1)
+    with pytest.raises(AttributeError):
+        rec.extra = 1  # no instance dict either
+
+
+def test_check_result_passed():
+    assert CheckResult("c", 1e-11, 1e-10, 3).passed is True
+    assert CheckResult("c", 1e-10, 1e-10, 3).passed is True
+    assert CheckResult("c", 2e-10, 1e-10, 3).passed is False
+
+
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_params_at_sets_only_the_swept_coordinate(variable):
+    p = _params_at(ModelParams(0.5, 0.25, 2.0), variable, 3.0)
+    expected = {"eps": 0.5, "m_tilde": 0.25, "k_tilde": 2.0, variable: 3.0}
+    assert p == ModelParams(**expected)
+    with pytest.raises(ValueError, match=variable):
+        _params_at(FIXED, variable, -1.0)
+
+
+def test_sweep_points_are_validated():
+    spec = SweepSpec("m_tilde", 0.1, math.inf, 3, FIXED)
+    with pytest.raises(ValueError, match="m_tilde must be finite"):
+        sweep(spec)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        optimize("eps", 0.5, math.inf, FIXED)
+
+
+def test_finite_difference_points_are_validated():
+    with pytest.raises(ValueError, match="eps must be finite"):
+        dX_deps_fd(FIXED, h=math.nan)
