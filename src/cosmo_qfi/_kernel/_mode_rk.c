@@ -3,8 +3,8 @@
  * Twin of cosmo_qfi._kernel.pure: same tableau, same step controller, same
  * status codes and the same floating-point operations in the same order, so
  * the two backends are interchangeable.  The stepping loop holds no Python
- * object and runs with the GIL released, which lets verification sweeps run
- * the oracle concurrently from threads.
+ * object and runs with the GIL released, so library callers may run
+ * integrations concurrently from threads.
  *
  * Build it next to the package sources (from the repository root):
  *
@@ -96,7 +96,7 @@ static const long MAX_STEPS = 5000000;
 
 /* The equation's coefficients; the state holds n/4 solutions. */
 typedef struct {
-    double eps, m, k, sign;
+    double eps, m, k;
 } Coeffs;
 
 /* Python's max(a, b): a unless b is larger, NaN included. */
@@ -113,7 +113,7 @@ static inline void deriv(double eta, const double *y, double *out, int n, const 
     double th = tanh(eta);
     double a = 1.0 + c->eps * (1.0 + th);
     double w = c->k * c->k + c->m * c->m * a * a;
-    double v = c->sign * c->m * c->eps * (1.0 - th * th);
+    double v = -(c->m * c->eps) * (1.0 - th * th);
     for (int j = 0; j < n; j += 4) {
         out[j] = y[j + 2];
         out[j + 1] = y[j + 3];
@@ -238,7 +238,7 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
     return ST_OK;
 }
 
-static char *kwlist[] = {"eps", "m_tilde", "k_tilde", "sign", "eta0", "eta1",
+static char *kwlist[] = {"eps", "m_tilde", "k_tilde", "eta0", "eta1",
                          "y0", "rel_tol", "abs_tol", NULL};
 
 /* Shared body of both entry points: parse, integrate n components, return
@@ -253,7 +253,7 @@ static PyObject *integrate(PyObject *args, PyObject *kw, int n, const char *fmt,
     PyObject *y0, *seq;
 
     if (!PyArg_ParseTupleAndKeywords(args, kw, fmt, kwlist, &c.eps, &c.m, &c.k,
-                                     &c.sign, &eta0, &eta1, &y0, &rtol, &atol))
+                                     &eta0, &eta1, &y0, &rtol, &atol))
         return NULL;
     /* A tuple copy: an item's __float__ cannot resize it under the loop. */
     seq = PySequence_Tuple(y0);
@@ -291,17 +291,17 @@ static PyObject *integrate(PyObject *args, PyObject *kw, int n, const char *fmt,
 
 static PyObject *integrate_endpoint(PyObject *self, PyObject *args, PyObject *kw)
 {
-    return integrate(args, kw, 4, "ddddddOdd:integrate_endpoint",
+    return integrate(args, kw, 4, "dddddOdd:integrate_endpoint",
                      "integrate_endpoint expects a 4-component state");
 }
 
 static PyObject *integrate_pair_drift(PyObject *self, PyObject *args, PyObject *kw)
 {
-    return integrate(args, kw, 8, "ddddddOdd:integrate_pair_drift",
+    return integrate(args, kw, 8, "dddddOdd:integrate_pair_drift",
                      "integrate_pair_drift expects an 8-component state");
 }
 
-#define SIGNATURE "(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, abs_tol)\n--\n\n"
+#define SIGNATURE "(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)\n--\n\n"
 
 static PyMethodDef methods[] = {
     {"integrate_endpoint", (PyCFunction)(void (*)(void))integrate_endpoint,

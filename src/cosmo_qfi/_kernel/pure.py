@@ -9,7 +9,7 @@ what makes the Wronskian monitor meaningful.
 
 The equation integrated is
 
-    psi'' + [k^2 + m^2 a(eta)^2 + sign * i m a'(eta)] psi = 0,
+    psi'' + [k^2 + m^2 a(eta)^2 - i m a'(eta)] psi = 0,
     a(eta) = 1 + eps (1 + tanh eta),
 
 in units where the expansion rate is 1.
@@ -161,11 +161,11 @@ _ERR5 = ((0, _E0), (5, _E5), (6, _E6), (7, _E7), (8, _E8), (9, _E9), (10, _E10),
          (11, _E11))
 
 
-def _deriv(eta, y, eps, m, k, sign):
+def _deriv(eta, y, eps, m, k):
     th = math.tanh(eta)
     a = 1.0 + eps * (1.0 + th)
     w = k * k + m * m * a * a
-    v = sign * m * eps * (1.0 - th * th)
+    v = -(m * eps) * (1.0 - th * th)
     out = [0.0] * len(y)
     for j in range(0, len(y), 4):
         out[j] = y[j + 2]
@@ -196,13 +196,13 @@ def _error(h, err5, err3):
     return h * err5 / math.sqrt(den)
 
 
-def _advance(eps, m, k, sign, eta0, eta1, y, rtol, atol, monitor=None):
+def _advance(eps, m, k, eta0, eta1, y, rtol, atol, monitor=None):
     """Advance y from eta0 to eta1; returns (y, accepted, status)."""
     n = len(y)
     rng = range(n)
     eta = eta0
     h = min(_H_INIT, eta1 - eta0)
-    k0 = _deriv(eta, y, eps, m, k, sign)
+    k0 = _deriv(eta, y, eps, m, k)
     accepted = 0
     attempts = 0
     while eta < eta1:
@@ -217,7 +217,7 @@ def _advance(eps, m, k, sign, eta0, eta1, y, rtol, atol, monitor=None):
         ks = [k0]
         for c, terms in _STAGES:
             yt = [y[i] + h * _combine(terms, ks, i) for i in rng]
-            ks.append(_deriv(eta + c * h, yt, eps, m, k, sign))
+            ks.append(_deriv(eta + c * h, yt, eps, m, k))
         s = [_combine(_WEIGHTS, ks, i) for i in rng]
         ynew = [y[i] + h * s[i] for i in rng]
         err5 = err3 = 0.0
@@ -229,7 +229,7 @@ def _advance(eps, m, k, sign, eta0, eta1, y, rtol, atol, monitor=None):
             err3 += q * q
         err = _error(h, err5 / n, err3 / n)
         if err <= 1.0:
-            k0 = _deriv(eta + h, ynew, eps, m, k, sign)  # first-same-as-last
+            k0 = _deriv(eta + h, ynew, eps, m, k)  # first-same-as-last
             eta = eta1 if last else eta + h
             y = ynew
             accepted += 1
@@ -245,7 +245,7 @@ def _advance(eps, m, k, sign, eta0, eta1, y, rtol, atol, monitor=None):
     return y, accepted, STATUS_OK
 
 
-def integrate_endpoint(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, abs_tol):
+def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     """Integrate one solution; y0 has 4 components.
 
     Returns (endpoint state tuple, accepted step count, status).
@@ -253,9 +253,7 @@ def integrate_endpoint(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, abs
     y = list(y0)
     if len(y) != 4:
         raise ValueError("integrate_endpoint expects a 4-component state")
-    y, steps, status = _advance(
-        eps, m_tilde, k_tilde, float(sign), eta0, eta1, y, rel_tol, abs_tol
-    )
+    y, steps, status = _advance(eps, m_tilde, k_tilde, eta0, eta1, y, rel_tol, abs_tol)
     return tuple(y), steps, status
 
 
@@ -266,7 +264,7 @@ def _wronskian(y):
     return wr, wi
 
 
-def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, abs_tol):
+def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     """Integrate two stacked solutions, tracking the Wronskian at every
     accepted step.  y0 has 8 components.
 
@@ -288,11 +286,10 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         raise ValueError("initial Wronskian vanishes; solutions not independent")
     worst = 0.0
     tanh = math.tanh
-    sign = float(sign)
-    kk, mm, sme = k_tilde * k_tilde, m_tilde * m_tilde, sign * m_tilde * eps
+    kk, mm, v_amp = k_tilde * k_tilde, m_tilde * m_tilde, -(m_tilde * eps)
     th = tanh(eta0)
     a = 1.0 + eps * (1.0 + th)
-    W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+    W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
     f0 = -(W * p)
     g0 = -(W * q)
     eta = eta0
@@ -317,7 +314,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e1 = e + h * (_A1_0 * g0)
         th = tanh(eta + _C1 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f1 = -(W * P)
         g1 = -(W * Q)
         P = p + h * (_A2_0 * d + _A2_1 * d1)
@@ -326,7 +323,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e2 = e + h * (_A2_0 * g0 + _A2_1 * g1)
         th = tanh(eta + _C2 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f2 = -(W * P)
         g2 = -(W * Q)
         P = p + h * (_A3_0 * d + _A3_2 * d2)
@@ -335,7 +332,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e3 = e + h * (_A3_0 * g0 + _A3_2 * g2)
         th = tanh(eta + _C3 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f3 = -(W * P)
         g3 = -(W * Q)
         P = p + h * (_A4_0 * d + _A4_2 * d2 + _A4_3 * d3)
@@ -344,7 +341,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e4 = e + h * (_A4_0 * g0 + _A4_2 * g2 + _A4_3 * g3)
         th = tanh(eta + _C4 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f4 = -(W * P)
         g4 = -(W * Q)
         P = p + h * (_A5_0 * d + _A5_3 * d3 + _A5_4 * d4)
@@ -353,7 +350,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e5 = e + h * (_A5_0 * g0 + _A5_3 * g3 + _A5_4 * g4)
         th = tanh(eta + _C5 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f5 = -(W * P)
         g5 = -(W * Q)
         P = p + h * (_A6_0 * d + _A6_3 * d3 + _A6_4 * d4 + _A6_5 * d5)
@@ -362,7 +359,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e6 = e + h * (_A6_0 * g0 + _A6_3 * g3 + _A6_4 * g4 + _A6_5 * g5)
         th = tanh(eta + _C6 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f6 = -(W * P)
         g6 = -(W * Q)
         P = p + h * (_A7_0 * d + _A7_3 * d3 + _A7_4 * d4 + _A7_5 * d5 + _A7_6 * d6)
@@ -371,7 +368,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e7 = e + h * (_A7_0 * g0 + _A7_3 * g3 + _A7_4 * g4 + _A7_5 * g5 + _A7_6 * g6)
         th = tanh(eta + _C7 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f7 = -(W * P)
         g7 = -(W * Q)
         P = p + h * (_A8_0 * d + _A8_3 * d3 + _A8_4 * d4 + _A8_5 * d5 + _A8_6 * d6 + _A8_7 * d7)
@@ -380,7 +377,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
         e8 = e + h * (_A8_0 * g0 + _A8_3 * g3 + _A8_4 * g4 + _A8_5 * g5 + _A8_6 * g6 + _A8_7 * g7)
         th = tanh(eta + _C8 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f8 = -(W * P)
         g8 = -(W * Q)
         P = p + h * (_A9_0 * d + _A9_3 * d3 + _A9_4 * d4 + _A9_5 * d5 + _A9_6 * d6 + _A9_7 * d7
@@ -393,7 +390,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
                      + _A9_8 * g8)
         th = tanh(eta + _C9 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f9 = -(W * P)
         g9 = -(W * Q)
         P = p + h * (_A10_0 * d + _A10_3 * d3 + _A10_4 * d4 + _A10_5 * d5 + _A10_6 * d6
@@ -406,7 +403,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
                       + _A10_7 * g7 + _A10_8 * g8 + _A10_9 * g9)
         th = tanh(eta + _C10 * h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f10 = -(W * P)
         g10 = -(W * Q)
         P = p + h * (_A11_0 * d + _A11_3 * d3 + _A11_4 * d4 + _A11_5 * d5 + _A11_6 * d6
@@ -419,7 +416,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, sign, eta0, eta1, y0, rel_tol, a
                       + _A11_7 * g7 + _A11_8 * g8 + _A11_9 * g9 + _A11_10 * g10)
         th = tanh(eta + h)
         a = 1.0 + eps * (1.0 + th)
-        W = complex(kk + mm * a * a, sme * (1.0 - th * th))
+        W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f11 = -(W * P)
         g11 = -(W * Q)
         sd = (_B0 * d + _B5 * d5 + _B6 * d6 + _B7 * d7 + _B8 * d8 + _B9 * d9 + _B10 * d10

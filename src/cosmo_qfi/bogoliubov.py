@@ -5,9 +5,8 @@ must agree (the verification suite enforces this):
 
 * `coefficients` assembles the complex mixing coefficients A, B from
   log-Gamma factors, entirely in log space;
-* `mixing_sq_sinh` evaluates the closed sinh form of |B/A|^2 for the branch
-  that feeds the probe state, with explicit sign tracking and a series fill
-  at the removable zero of zeta_mm.
+* `mixing_sq_sinh` evaluates the closed sinh form of |B/A|^2, with explicit
+  sign tracking and a series fill at the removable zero of zeta_mm.
 
 The excitation weight X = |B/A|^2 * chi_abs^2 is what the reduced probe state
 sees; its derivative in the expansion parameter ships in two independent
@@ -23,8 +22,6 @@ from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
 from .errors import DegenerateParameterError, DerivativeStepError
 from .specfun import coth, coth_minus_inv, log_gamma, log_sinh_abs, sinh_over_x
 
-BRANCHES = ("plus", "minus")
-
 ANALYTIC = "analytic"
 FINITE_DIFFERENCE = "finite_difference"
 
@@ -32,8 +29,8 @@ _PI = math.pi
 
 
 class BogoliubovPair(namedtuple(
-        "BogoliubovPair", ("branch", "log_abs_A", "log_abs_B", "phase_A", "phase_B"))):
-    """Log-magnitudes and phases of the mixing coefficients of one branch."""
+        "BogoliubovPair", ("log_abs_A", "log_abs_B", "phase_A", "phase_B"))):
+    """Log-magnitudes and phases of the mixing coefficients."""
 
     __slots__ = ()
 
@@ -42,7 +39,7 @@ class CreationFactor(namedtuple(
         "CreationFactor", ("mixing_sq", "X", "dX_deps", "derivative_method"))):
     """Particle-creation strength and probe excitation weight at one point.
 
-    mixing_sq is |B/A|^2 of the minus branch, X = mixing_sq * chi_abs^2 and
+    mixing_sq is |B/A|^2, X = mixing_sq * chi_abs^2 and
     dX_deps its derivative in the expansion parameter, computed by the method
     named in derivative_method.
     """
@@ -50,36 +47,22 @@ class CreationFactor(namedtuple(
     __slots__ = ()
 
 
-def _check_branch(branch: str) -> None:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+def coefficients(p: ModelParams) -> BogoliubovPair:
+    """Mixing coefficients A, B via log-Gamma.
 
-
-def coefficients(p: ModelParams, branch: str = "minus") -> BogoliubovPair:
-    """Mixing coefficients A, B of the requested branch via log-Gamma.
-
-    The minus branch is the one that feeds the probe state; the plus branch
-    exists for cross-checks only.  Requires m_tilde > 0 (no mixing happens in
-    the conformally invariant limit and the Gamma arguments degenerate).
+    Requires m_tilde > 0 (no mixing happens in the conformally invariant
+    limit and the Gamma arguments degenerate).
     """
-    _check_branch(branch)
     if p.m_tilde == 0.0:
         raise DegenerateParameterError("coefficients undefined at m_tilde = 0")
     f = frequencies(p)
     half_log_pref = 0.5 * math.log(f.omega_out / f.omega_in)
     common = log_gamma(1.0 - 1j * f.omega_in)
-    if branch == "minus":
-        log_A = common + log_gamma(-1j * f.omega_out) \
-            - log_gamma(1.0 - 1j * f.zeta_pp) - log_gamma(-1j * f.zeta_pm)
-        log_B = common + log_gamma(1j * f.omega_out) \
-            - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
-    else:
-        log_A = common + log_gamma(-1j * f.omega_out) \
-            - log_gamma(1.0 - 1j * f.zeta_pm) - log_gamma(-1j * f.zeta_pp)
-        log_B = common + log_gamma(1j * f.omega_out) \
-            - log_gamma(1.0 + 1j * f.zeta_mp) - log_gamma(1j * f.zeta_mm)
+    log_A = common + log_gamma(-1j * f.omega_out) \
+        - log_gamma(1.0 - 1j * f.zeta_pp) - log_gamma(-1j * f.zeta_pm)
+    log_B = common + log_gamma(1j * f.omega_out) \
+        - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
     return BogoliubovPair(
-        branch=branch,
         log_abs_A=log_A.real + half_log_pref,
         log_abs_B=log_B.real + half_log_pref,
         phase_A=log_A.imag,
@@ -102,7 +85,7 @@ def ratio_sq(pair: BogoliubovPair) -> float:
 
 
 def _mixing_sq_sinh(f: FrequencySet) -> float:
-    # |B/A|^2 of the minus branch:
+    # |B/A|^2:
     #   (zeta_mp zeta_pp)/(zeta_mm zeta_pm)
     #     * sinh(pi zeta_mm) sinh(pi zeta_mp) / (sinh(pi zeta_pp) sinh(pi zeta_pm))
     # regrouped so each factor is positive:
@@ -132,7 +115,7 @@ def _mixing_sq_sinh(f: FrequencySet) -> float:
 
 
 def mixing_sq_sinh(p: ModelParams) -> float:
-    """|B/A|^2 of the minus branch via the stable sinh closed form.
+    """|B/A|^2 via the stable sinh closed form.
 
     Returns exactly 0 for m_tilde = 0.  Continuous through zeta_mm = 0, where
     the 1/zeta_mm prefactor cancels the sinh zero.

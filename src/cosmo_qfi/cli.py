@@ -72,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Environment: COSMO_QFI_THREADS sets the worker thread count "
-            "of sweep and verify (0 or unset = auto: one thread for closed-form sweeps, and one "
-            "per CPU, at most 8, for oracle integrations only on the "
-            "compiled kernel, which releases the GIL; the thread count never "
+            "of sweep (0 or unset = one thread; the thread count never "
             "changes output); "
             "COSMO_QFI_PURE forces the pure-Python integrator backend."
         ),

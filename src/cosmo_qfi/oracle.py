@@ -2,9 +2,7 @@
 
 Integrates the mode equation directly across the expansion epoch and reads
 the mixing coefficients off the asymptotic plane waves.  The in-mode enters
-as exp(-i omega_in eta) for both branches; the branch selects only the sign
-of the imaginary first-derivative coupling in the equation.  At the far end
-the solution is matched to
+as exp(-i omega_in eta).  At the far end the solution is matched to
 
     A exp(-i omega_out eta) + B exp(+i omega_out eta),
 
@@ -28,7 +26,6 @@ from . import _kernel
 from .cosmology import ModelParams, frequencies, scale_factor
 from .errors import IntegrationError, WindowTooSmallError
 
-_BRANCH_SIGN = {"plus": 1.0, "minus": -1.0}
 _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
 
@@ -38,15 +35,20 @@ class IntegrationConfig:
     """Window and tolerance settings for the mode-equation integration.
 
     eta_span is the half-width of the window in units of the inverse
-    expansion rate; tanh saturates double precision around 15, which the
-    constructor enforces.  Tolerances are capped at 1e-6; the defaults are
-    much tighter so the Wronskian drift stays below the verification budget.
+    expansion rate; the constructor requires tanh(eta_span) within 1e-12 of
+    1.  The window, not the integrator, bounds the oracle's accuracy: at its
+    ends a(eta) still differs from its limits by about 2 eps e^(-2 eta_span),
+    so plane waves started and matched there leave a relative error in
+    |B/A|^2 of order 2 eps e^(-2 eta_span) / |B/A|.  At the default span of
+    15 that error is 2.9e-7 at (eps, m, k) = (0.5, 5, 2), where |B/A| is
+    4e-7, and it does not fall as rel_tol tightens; at span 20 it is 2.9e-8.
+    Tolerances are capped at 1e-6; the defaults are much tighter so the
+    Wronskian drift stays below the verification budget.
     """
 
     eta_span: float = 15.0
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
-    branch: str = "minus"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.eta_span):
@@ -60,8 +62,6 @@ class IntegrationConfig:
         for tol in (self.rel_tol, self.abs_tol):
             if not 0.0 < tol <= 1e-6:
                 raise ValueError(f"tolerance {tol} outside (0, 1e-6]")
-        if self.branch not in _BRANCH_SIGN:
-            raise ValueError(f"branch must be 'plus' or 'minus', got {self.branch!r}")
 
 
 class MatchResult(namedtuple("MatchResult", (
@@ -125,20 +125,19 @@ def integrate_mode(
         raise ValueError(f"eta0 must be finite and at or before -eta_span, got {eta0}")
     _check_window(p, span, eta0)
     f = frequencies(p)
-    sign = _BRANCH_SIGN[cfg.branch]
 
     base = _in_mode_state(f.omega_in, eta0)
     # Partner solution: same value, opposite-frequency derivative.
     y = base + (base[0], base[1], -base[2], -base[3])
     checkpoint = span - _CHECKPOINT_BACKOFF
     y, d1, steps1, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, sign, eta0, checkpoint, y, cfg.rel_tol, cfg.abs_tol
+        p.eps, p.m_tilde, p.k_tilde, eta0, checkpoint, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
     psi_c = complex(y[0], y[1])
     dpsi_c = complex(y[2], y[3])
     y, d2, steps2, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, sign, checkpoint, span, y, cfg.rel_tol, cfg.abs_tol
+        p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, cfg.rel_tol, cfg.abs_tol
     )
     _raise_on_status(status, p)
     psi = complex(y[0], y[1])

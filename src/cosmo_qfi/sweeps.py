@@ -8,13 +8,11 @@ zooms in by re-scanning a finer linear grid over the two cells around the best
 point until the spacing is at most 1e-6.  The best point seen is kept, so the
 result can never be worse than the pre-scan and unimodality is not assumed.
 
-Grid points are independent; evaluation honors the COSMO_QFI_THREADS
+Sweep grid points are independent; `sweep` honors the COSMO_QFI_THREADS
 environment variable (a positive value is the thread count; a negative or
-non-integer value is a usage error).  0 or unset means automatic: closed-form sweeps run
-on the calling thread, because their pure-Python loop holds the GIL and extra
-threads only contend for it, and oracle integrations get one thread per usable
-CPU (at most 8) only on the compiled kernel, which releases the GIL.  Row
-order and values do not depend on the thread count.
+non-integer value is a usage error).  0 or unset runs the sweep on the
+calling thread, because its pure-Python loop holds the GIL and extra threads
+only contend for it.  Row order and values do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ class SweepSpec:
     points: int
     fixed: ModelParams
     trials: float = DEFAULT_TRIALS
-    spacing: str = "linear"
 
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
@@ -64,10 +61,6 @@ class SweepSpec:
             raise ValueError(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.spacing == "log" and self.lo <= 0.0:
-            raise ValueError("log spacing requires lo > 0")
         if not (math.isfinite(self.trials) and self.trials >= 1):
             raise ValueError(f"trials must be finite and >= 1, got {self.trials}")
 
@@ -102,13 +95,10 @@ def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
     return ModelParams(**fields)
 
 
-def _thread_count(releases_gil: bool) -> int:
-    """Worker threads for work over independent points.
+def _thread_count() -> int:
+    """Sweep worker threads: a positive COSMO_QFI_THREADS as given, else 1.
 
-    A positive COSMO_QFI_THREADS is used as given.  Automatic (unset or 0)
-    gives work that holds the GIL the calling thread alone, and work that
-    releases it one thread per CPU this process may run on, at most 8.  Any
-    other value raises ValueError.
+    Any value other than an integer >= 0 raises ValueError.
     """
     raw = os.environ.get("COSMO_QFI_THREADS") or "0"
     try:
@@ -117,15 +107,7 @@ def _thread_count(releases_gil: bool) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"COSMO_QFI_THREADS must be an integer >= 0, got {raw!r}") from None
-    if n > 0:
-        return n
-    if not releases_gil:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(8, cpus)
+    return n if n > 0 else 1
 
 
 def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
@@ -141,7 +123,7 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
     example m_tilde = 0) gets qfi 0 and an infinite bound, and a point whose
     evaluation fails outright gets NaN figures with an infinite bound.
     """
-    values = _grid(spec.lo, spec.hi, spec.points, spec.spacing)
+    values = _grid(spec.lo, spec.hi, spec.points, "linear")
 
     def one(value: float) -> SweepRow:
         try:
@@ -152,7 +134,7 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
             return SweepRow(value, math.nan, math.inf, math.nan, math.nan)
         return SweepRow(value, q, b, s, p1)
 
-    workers = _thread_count(releases_gil=False)
+    workers = _thread_count()
     if workers > 1 and spec.points >= 32:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, values))

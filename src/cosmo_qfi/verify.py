@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 
-from . import _kernel
 from .bogoliubov import coefficients, dX_deps_fd, mixing_sq_sinh, ratio_sq
 from .cosmology import ModelParams
 from .oracle import MatchResult, integrate_mode
 from .probe import EstimationResult, qfi_eps
 from .qfi import OutcomeDistribution, SpectralFamily, classical_fisher, qfi_spectral
-from .sweeps import _thread_count
 
 GRID_RANGE = (0.1, 5.0)
 
@@ -86,7 +83,7 @@ def grid_estimates(grid_points: int = 10) -> list[tuple[ModelParams, EstimationR
 def check_gamma_vs_sinh(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
     """Mixing ratio from log-Gamma coefficients against the sinh closed form."""
     worst = max(
-        _rel_diff(ratio_sq(coefficients(p, "minus")), mixing_sq_sinh(p)) for p, _ in grid
+        _rel_diff(ratio_sq(coefficients(p)), mixing_sq_sinh(p)) for p, _ in grid
     )
     return CheckResult("gamma-vs-sinh identity", worst, IDENTITY_TOL, len(grid))
 
@@ -144,22 +141,9 @@ def oracle_points(count: int = 5) -> list[ModelParams]:
     return pts
 
 
-def _map_ordered(fn, items):
-    # Integrations over disjoint parameter points are independent.  The
-    # compiled kernel releases the GIL, so by default they run concurrently
-    # only there; gathering in submission order keeps results independent of
-    # scheduling.
-    workers = _thread_count(releases_gil=_kernel.BACKEND == "compiled")
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def oracle_matches(count: int = 5) -> list[tuple[ModelParams, MatchResult]]:
     """Each oracle point with its mode-equation integration, run once."""
-    points = oracle_points(count)
-    return list(zip(points, _map_ordered(integrate_mode, points)))
+    return [(p, integrate_mode(p)) for p in oracle_points(count)]
 
 
 def check_ode_oracle(matches: list[tuple[ModelParams, MatchResult]]) -> CheckResult:

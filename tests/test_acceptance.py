@@ -6,11 +6,13 @@ and are not configurable.
 """
 
 import json
+import math
 import time
 
 import numpy as np
 
 from cosmo_qfi import (
+    CosmoQfiError,
     IntegrationConfig,
     ModelParams,
     SweepSpec,
@@ -50,7 +52,7 @@ def _rel(a, b):
 def test_criterion_01_gamma_sinh_identity():
     t0 = time.perf_counter()
     worst = max(
-        _rel(ratio_sq(coefficients(p, "minus")), mixing_sq_sinh(p)) for p in GRID
+        _rel(ratio_sq(coefficients(p)), mixing_sq_sinh(p)) for p in GRID
     )
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
@@ -236,3 +238,30 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys, monkeypat
     _report(10, "CLI determinism and exit-code contract", ok,
             f"codes: usage={code_usage}, degenerate={code_degen}, "
             f"io={code_io}, verify-fail={code_verify_fail}")
+
+
+def test_criterion_11_joint_optimum_is_the_sudden_limit():
+    # Over (m, k) jointly the QFI has no interior peak: as m, k -> 0 at a
+    # fixed ratio k/m it tends to a sudden-expansion limit whose supremum,
+    # 1/(1 + 2 eps)^2, is reached at k = (1 + 2 eps) m.  No grid point may
+    # exceed it, and the limit must be reached along that ray.
+    n = 60
+    lo, hi = math.log(1e-3), math.log(1e2)
+    axis = [math.exp(lo + i * (hi - lo) / (n - 1)) for i in range(n)]
+    details, ok = [], True
+    for eps in (0.1, 1.0, 5.0):
+        scale = (1.0 + 2.0 * eps) ** 2
+        worst, evaluated = 0.0, 0
+        for m in axis:
+            for k in axis:
+                try:
+                    q = qfi_eps(ModelParams(eps, m, k)).qfi
+                except CosmoQfiError:
+                    continue
+                evaluated += 1
+                worst = max(worst, scale * q)
+        gap = 1.0 - scale * qfi_eps(ModelParams(eps, 1e-7, (1.0 + 2.0 * eps) * 1e-7)).qfi
+        ok = ok and worst < 1.0 and gap < 1e-10 and evaluated >= 0.75 * n * n
+        details.append(f"eps={eps}: max {worst:.5f} over {evaluated}, gap {gap:.1e}")
+    _report(11, "(1+2eps)^2 F_Q below 1 on the (m, k) grid, reaching 1 in the sudden limit",
+            ok, "; ".join(details))

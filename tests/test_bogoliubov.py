@@ -27,7 +27,7 @@ from cosmo_qfi import (
 
 mp.mp.dps = 40
 
-# (eps, m, k) -> |B/A|^2 of the minus branch, frozen from mpmath
+# (eps, m, k) -> |B/A|^2, frozen from mpmath
 FROZEN_MIXING = {
     (1.0, 1.0, 1.0): 6.3409970333874073e-3,
     (0.01, 2.0, 0.5): 1.3142483278101767e-7,
@@ -37,7 +37,6 @@ FROZEN_MIXING = {
 }
 FROZEN_X_UNIT = 1.6698406311094825e-4
 FROZEN_DX_UNIT = 9.8493155488480102e-5
-FROZEN_PLUS_UNIT = 4.3973648286262457e-6
 
 
 def _mp_mixing_sq(eps, m, k):
@@ -62,7 +61,7 @@ def test_mixing_sq_sinh_frozen_points(point, expected):
 @pytest.mark.parametrize("point", sorted(FROZEN_MIXING))
 def test_gamma_route_matches_sinh_route(point, rel=1e-10):
     p = ModelParams(*point)
-    assert math.isclose(ratio_sq(coefficients(p, "minus")), mixing_sq_sinh(p), rel_tol=rel)
+    assert math.isclose(ratio_sq(coefficients(p)), mixing_sq_sinh(p), rel_tol=rel)
 
 
 def test_cornerstone_identity_on_grid():
@@ -71,25 +70,15 @@ def test_cornerstone_identity_on_grid():
         for m in axis:
             for k in axis:
                 p = ModelParams(float(eps), float(m), float(k))
-                a = ratio_sq(coefficients(p, "minus"))
+                a = ratio_sq(coefficients(p))
                 b = mixing_sq_sinh(p)
                 assert abs(a - b) <= 1e-10 * max(a, b), (eps, m, k)
-
-
-def test_plus_branch_prefactor_relation():
-    # |B+/A+|^2 = |B-/A-|^2 * [(zeta_pm zeta_mm)/(zeta_pp zeta_mp)]^2
-    p = ModelParams(1.0, 1.0, 1.0)
-    f = frequencies(p)
-    plus = ratio_sq(coefficients(p, "plus"))
-    assert math.isclose(plus, FROZEN_PLUS_UNIT, rel_tol=1e-11)
-    factor = (f.zeta_pm * f.zeta_mm / (f.zeta_pp * f.zeta_mp)) ** 2
-    assert math.isclose(plus, mixing_sq_sinh(p) * factor, rel_tol=1e-10)
 
 
 def test_mixing_vanishes_in_conformal_limit():
     assert mixing_sq_sinh(ModelParams(1.0, 0.0, 1.0)) == 0.0
     p = ModelParams(1.0, 1e-8, 1.0)
-    assert ratio_sq(coefficients(p, "minus")) < 1e-12
+    assert ratio_sq(coefficients(p)) < 1e-12
     assert mixing_sq_sinh(p) < 1e-12
 
 
@@ -104,7 +93,7 @@ def test_coefficients_reject_massless():
 
 
 def test_coefficients_fields_finite():
-    pair = coefficients(ModelParams(2.0, 0.3, 0.7), "minus")
+    pair = coefficients(ModelParams(2.0, 0.3, 0.7))
     for v in (pair.log_abs_A, pair.log_abs_B, pair.phase_A, pair.phase_B):
         assert math.isfinite(v)
 

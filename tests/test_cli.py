@@ -152,31 +152,39 @@ def test_point_evaluates_the_probe_once(capsys, probe_calls):
     assert len(probe_calls) == 1
 
 
-def test_import_loads_neither_numpy_nor_scipy(tmp_path):
-    # Each command loads only the layers it runs: in a fresh interpreter
-    # without site hooks (which may import anything), record the loaded
-    # modules after `point`, then after a `sweep`.
+def _loaded_after(tmp_path, body):
+    # Modules of interest loaded by `body` in a fresh interpreter without site
+    # hooks (which may import anything); `body` appends lists to `out`.
     script = (
         "import json, sys\n"
         "from cosmo_qfi.cli import main\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
         "('numpy', 'scipy', 'typing', 'concurrent', 'cosmo_qfi'))\n"
-        "main(['point']); point = loaded()\n"
-        "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); swept = loaded()\n"
-        "import cosmo_qfi, cosmo_qfi.oracle\n"
-        "probe_is_function = cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe\n"
-        "import cosmo_qfi.qfi, cosmo_qfi.verify; everything = loaded()\n"
-        "print(json.dumps([point, swept, everything, probe_is_function]))\n"
+        f"out = []\n{body}print(json.dumps(out))\n"
     )
     src = str(Path(cosmo_qfi.__file__).resolve().parents[1])
     res = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
     )
-    point, swept, everything, probe_is_function = json.loads(res.stdout.splitlines()[-1])
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_import_loads_neither_numpy_nor_scipy(tmp_path):
+    # Each command loads only the layers it runs: record the loaded modules
+    # after `point`, then after a `sweep`, and separately after a `verify`.
+    point, swept, probe_is_function, everything = _loaded_after(tmp_path, (
+        "main(['point']); out.append(loaded())\n"
+        "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); out.append(loaded())\n"
+        "import cosmo_qfi, cosmo_qfi.oracle\n"
+        "out.append(cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe)\n"
+        "import cosmo_qfi.qfi, cosmo_qfi.verify; out.append(loaded())\n"
+    ))
+    (verified,) = _loaded_after(
+        tmp_path, "main(['verify', '--points', '2', '--ode-points', '1']); out.append(loaded())\n")
     # no module of the package, once all are loaded, pulls in NumPy or SciPy,
     # nor `typing`, whose import alone costs milliseconds per command
-    for loaded in (point, swept, everything):
+    for loaded in (point, swept, verified, everything):
         assert not [m for m in loaded if m.split(".")[0] in ("numpy", "scipy", "typing")]
     for loaded in (point, swept):
         assert not {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} & set(loaded)
@@ -184,6 +192,9 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     assert "cosmo_qfi.probe" in point
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(point)
     assert "cosmo_qfi.sweeps" in swept
+    # the oracle runs on the calling thread: verify needs no sweep engine or pool
+    assert "cosmo_qfi.verify" in verified
+    assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(verified)
     # loading sweeps and oracle later leaves the package's `probe` the function
     assert probe_is_function
 

@@ -1,7 +1,6 @@
 """Sweep engine and bounded optimization."""
 
 import math
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -65,9 +64,8 @@ def test_sweep_massless_sentinel_row():
 
 
 def test_sweep_log_spacing():
-    spec = SweepSpec("k_tilde", 0.1, 10.0, 5, FIXED, spacing="log")
-    rows = sweep(spec)
-    vals = [r.value for r in rows]
+    # optimize pre-scans on this grid
+    vals = sweeps._grid(0.1, 10.0, 5, "log")
     assert vals[0] == 0.1 and vals[-1] == 10.0
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     assert all(math.isclose(r, ratios[0], rel_tol=1e-12) for r in ratios)
@@ -85,8 +83,6 @@ def test_sweep_spec_validation():
     for trials in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             SweepSpec("m_tilde", 0.1, 10.0, 10, FIXED, trials=trials)
-    with pytest.raises(ValueError):
-        SweepSpec("m_tilde", 0.0, 1.0, 10, FIXED, spacing="log")
 
 
 def test_fig1_bound_has_interior_minimum():
@@ -145,15 +141,14 @@ def test_optimize_validation():
 
 
 def test_verify_checks_thread_independent(monkeypatch):
+    # the oracle runs on the calling thread and never reads the sweep's
+    # thread setting, not even to reject a malformed one
     from cosmo_qfi.verify import check_ode_oracle, check_wronskian, oracle_matches
 
-    monkeypatch.setenv("COSMO_QFI_THREADS", "1")
-    sequential = oracle_matches(3)
-    monkeypatch.setenv("COSMO_QFI_THREADS", "4")
-    threaded = oracle_matches(3)
-    assert sequential == threaded
-    assert check_ode_oracle(sequential).passed
-    assert check_wronskian(sequential).passed
+    monkeypatch.setenv("COSMO_QFI_THREADS", "abc")
+    matches = oracle_matches(3)
+    assert check_ode_oracle(matches).passed
+    assert check_wronskian(matches).passed
 
 
 @pytest.fixture
@@ -175,7 +170,6 @@ def kernel_calls(monkeypatch):
         integrate_endpoint=counted("integrate_endpoint"),
         integrate_pair_drift=counted("integrate_pair_drift"),
     )
-    monkeypatch.setenv("COSMO_QFI_THREADS", "1")
     monkeypatch.setattr(_kernel, "impl", stub)
     return calls
 
@@ -250,44 +244,12 @@ def test_sweep_explicit_threads_use_a_pool(monkeypatch, counting_pool):
     assert counting_pool.constructed == 1
 
 
-def test_verify_auto_pool_only_on_compiled_kernel(monkeypatch, counting_pool):
-    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(_kernel, "BACKEND", "pure")
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", _NoPool)
-    assert verify._map_ordered(abs, [-1, -2, -3]) == [1, 2, 3]
-    monkeypatch.setattr(_kernel, "BACKEND", "compiled")
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", counting_pool)
-    assert verify._map_ordered(abs, [-1, -2, -3]) == [1, 2, 3]
-    assert counting_pool.constructed == 1
-
-
-def test_auto_thread_count_follows_cpu_affinity(monkeypatch):
-    # a process pinned to one CPU gets one worker even on the compiled kernel
-    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(_kernel, "BACKEND", "compiled")
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", _NoPool)
-    assert verify._map_ordered(abs, [-1, -2]) == [1, 2]
-    assert sweeps._thread_count(releases_gil=True) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert sweeps._thread_count(releases_gil=True) == 8
-    assert sweeps._thread_count(releases_gil=False) == 1
-
-
-def test_auto_thread_count_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert sweeps._thread_count(releases_gil=True) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert sweeps._thread_count(releases_gil=True) == 1
-
-
 def test_explicit_thread_count_is_honoured(monkeypatch):
     monkeypatch.setenv("COSMO_QFI_THREADS", "12")
-    assert sweeps._thread_count(releases_gil=False) == 12
-    assert sweeps._thread_count(releases_gil=True) == 12
+    assert sweeps._thread_count() == 12
+    for unset in ("0", ""):
+        monkeypatch.setenv("COSMO_QFI_THREADS", unset)
+        assert sweeps._thread_count() == 1
 
 
 def test_sweep_nan_qfi_point_becomes_nan_row():

@@ -1,6 +1,7 @@
 """Backend parity: compiled kernel against the pure-Python twin and scipy."""
 
 import importlib.util
+import inspect
 import math
 import os
 import re
@@ -20,7 +21,6 @@ COMPILED = "cosmo_qfi._kernel._mode_rk"
 
 POINT = (1.0, 1.0, 1.0)  # eps, m, k
 POINTS = (POINT, (0.5, 5.0, 2.0))
-SIGN = -1.0
 SPAN = 15.0
 RTOL, ATOL = 1e-12, 1e-14
 
@@ -81,8 +81,8 @@ def test_backends_agree_on_endpoint(compiled):
     # The twins sum every stage in the same order, so they take the same steps.
     for eps, m, k in POINTS:
         y0 = _ic(_omega_in(m, k), -SPAN)
-        yp, sp, stp = pure.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
-        yc, sc, stc = compiled.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        yp, sp, stp = pure.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
+        yc, sc, stc = compiled.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         assert stp == stc == 0
         assert sp == sc
         scale = max(abs(v) for v in yp)
@@ -93,8 +93,8 @@ def test_backends_agree_on_endpoint(compiled):
 def test_backends_agree_on_drift(compiled):
     for eps, m, k in POINTS:
         y0 = _pair(_ic(_omega_in(m, k), -SPAN))
-        _, dp, sp, stp = pure.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
-        _, dc, sc, stc = compiled.integrate_pair_drift(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+        _, dp, sp, stp = pure.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
+        _, dc, sc, stc = compiled.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         assert stp == stc == 0
         assert sp == sc
         assert abs(dp - dc) <= 1e-10
@@ -109,7 +109,7 @@ def test_kernel_against_scipy(kernel):
         th = math.tanh(eta)
         a = 1.0 + eps * (1.0 + th)
         wc = k * k + m * m * a * a
-        v = SIGN * m * eps * (1.0 - th * th)
+        v = -m * eps * (1.0 - th * th)
         return [
             y[2],
             y[3],
@@ -118,14 +118,14 @@ def test_kernel_against_scipy(kernel):
         ]
 
     ref = solve_ivp(rhs, (-SPAN, SPAN), y0, method="DOP853", rtol=1e-12, atol=1e-13)
-    got, _, status = kernel.integrate_endpoint(eps, m, k, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+    got, _, status = kernel.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
     assert status == 0
     for a, b in zip(got, ref.y[:, -1]):
         assert abs(a - b) < 1e-8
 
 
 def test_kernel_rejects_bad_state_length(kernel):
-    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    args = (1.0, 1.0, 1.0, -SPAN, SPAN)
     with pytest.raises(ValueError, match="^integrate_endpoint expects a 4-component state$"):
         kernel.integrate_endpoint(*args, (1.0, 0.0), RTOL, ATOL)
     with pytest.raises(ValueError, match="^integrate_endpoint expects a 4-component state$"):
@@ -135,7 +135,7 @@ def test_kernel_rejects_bad_state_length(kernel):
 
 
 def test_kernel_rejects_non_sequence_state(kernel):
-    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    args = (1.0, 1.0, 1.0, -SPAN, SPAN)
     with pytest.raises(TypeError):
         kernel.integrate_endpoint(*args, 1.0, RTOL, ATOL)
     with pytest.raises(TypeError):
@@ -145,16 +145,16 @@ def test_kernel_rejects_non_sequence_state(kernel):
 def test_kernel_rejects_dependent_pair(kernel):
     y = _ic(_omega_in(1.0, 1.0), -SPAN)
     with pytest.raises(ValueError, match="^initial Wronskian vanishes; solutions not independent$"):
-        kernel.integrate_pair_drift(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y + y, RTOL, ATOL)
+        kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, y + y, RTOL, ATOL)
 
 
 def test_kernel_reports_step_underflow(kernel):
     # No step meets a relative tolerance of 1e-30, so h shrinks to the floor.
     y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
-    _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, y0, 1e-30, 1e-300)
+    _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
     assert status == kernel.STATUS_UNDERFLOW == pure.STATUS_UNDERFLOW
     _, _, _, status = kernel.integrate_pair_drift(
-        1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, _pair(y0), 1e-30, 1e-300)
+        1.0, 1.0, 1.0, -SPAN, SPAN, _pair(y0), 1e-30, 1e-300)
     assert status == pure.STATUS_UNDERFLOW
 
 
@@ -163,9 +163,9 @@ def test_kernel_stops_on_nan_error_estimate(kernel):
     # stop, both twins spun until their 5 000 000-attempt budget ran out.
     y0 = _ic(1.0, -SPAN)
     y, drift, steps, status = kernel.integrate_pair_drift(
-        1.0, 1e160, 1.0, SIGN, -SPAN, SPAN, _pair(y0), RTOL, ATOL)
+        1.0, 1e160, 1.0, -SPAN, SPAN, _pair(y0), RTOL, ATOL)
     assert (y, drift, steps, status) == (_pair(y0), 0.0, 0, pure.STATUS_NONFINITE)
-    y, steps, status = kernel.integrate_endpoint(1.0, 1e160, 1.0, SIGN, -SPAN, SPAN, y0, RTOL, ATOL)
+    y, steps, status = kernel.integrate_endpoint(1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
     assert (y, steps, status) == (y0, 0, pure.STATUS_NONFINITE)
 
 
@@ -174,7 +174,7 @@ def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
     # rejected and h shrinks to the floor.  Hairer's formula taken literally
     # would read inf / inf as NaN and stop the run as non-finite instead.
     y0 = tuple(1e150 * v for v in _ic(_omega_in(1.0, 1.0), -SPAN))
-    args = (1.0, 1.0, 1.0, SIGN, -SPAN, SPAN)
+    args = (1.0, 1.0, 1.0, -SPAN, SPAN)
     _, steps, status = kernel.integrate_endpoint(*args, y0, 1e-300, 1e-300)
     assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
     _, _, steps, status = kernel.integrate_pair_drift(*args, _pair(y0), 1e-300, 1e-300)
@@ -184,7 +184,7 @@ def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
 def test_kernel_accepts_zero_error_estimate(kernel):
     # The zero solution has a zero error estimate, which 0 / 0 would make NaN.
     y, steps, status = kernel.integrate_endpoint(
-        1.0, 1.0, 1.0, SIGN, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
+        1.0, 1.0, 1.0, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
     assert (y, status) == ((0.0,) * 4, pure.STATUS_OK)
     assert steps > 0
 
@@ -212,7 +212,7 @@ def test_pure_tableau_is_scipys_dop853():
     assert pure._ERR5 == nonzero(ref.E5)
 
 
-def _reference_pair_drift(eps, m, k, sign, eta0, eta1, y0, rtol, atol):
+def _reference_pair_drift(eps, m, k, eta0, eta1, y0, rtol, atol):
     """integrate_pair_drift on the generic stepper: `_advance` with a
     Wronskian monitor."""
     w0r, w0i = pure._wronskian(y0)
@@ -224,12 +224,11 @@ def _reference_pair_drift(eps, m, k, sign, eta0, eta1, y0, rtol, atol):
         wr, wi = pure._wronskian(state)
         worst = max(worst, math.hypot(wr - w0r, wi - w0i) / w0_abs)
 
-    y, steps, status = pure._advance(eps, m, k, sign, eta0, eta1, list(y0), rtol, atol, monitor)
+    y, steps, status = pure._advance(eps, m, k, eta0, eta1, list(y0), rtol, atol, monitor)
     return tuple(y), worst, steps, status
 
 
-@pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch, sign):
+def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch):
     # The unrolled stepper writes every expression in _advance's order, so
     # its steps and returns must equal the reference's exactly.
     derivs = []
@@ -244,7 +243,7 @@ def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch, sign):
     for eps, m, k, rtol, atol in [(1.0, 1.0, 1.0, 1e-9, 1e-11), (0.5, 5.0, 2.0, 1e-8, 1e-10),
                                   (2.0, 0.3, 0.7, 1e-6, 1e-8)]:
         y0 = _pair(_ic(_omega_in(m, k), -SPAN))
-        args = (eps, m, k, sign, -SPAN, SPAN, y0, rtol, atol)
+        args = (eps, m, k, -SPAN, SPAN, y0, rtol, atol)
         derivs.clear()
         want = _reference_pair_drift(*args)
         assert pure.integrate_pair_drift(*args) == want
@@ -259,6 +258,10 @@ def test_compiled_kernel_exposes_the_pure_contract(compiled):
     assert compiled.BACKEND == "compiled"
     for name in ("STATUS_OK", "STATUS_MAX_STEPS", "STATUS_UNDERFLOW", "STATUS_NONFINITE"):
         assert getattr(compiled, name) == getattr(pure, name)
+    # The C twin declares its signature in its docstring; an argument added to
+    # or dropped from one twin alone shows here.
+    for name in ("integrate_endpoint", "integrate_pair_drift"):
+        assert inspect.signature(getattr(compiled, name)) == inspect.signature(getattr(pure, name))
 
 
 def test_env_var_forces_pure_backend():

@@ -11,11 +11,9 @@ from cosmo_qfi import (
     ModelParams,
     WindowTooSmallError,
     _kernel,
-    coefficients,
     frequencies,
     integrate_mode,
     mixing_sq_sinh,
-    ratio_sq,
     wronskian_drift,
 )
 
@@ -34,12 +32,6 @@ def test_ratio_matches_closed_form(point):
     assert _rel(match.ratio_sq, mixing_sq_sinh(p)) < 1e-4
     assert match.fit_residual < 1e-8
     assert abs(match.A_num) > abs(match.B_num)
-
-
-def test_plus_branch_matches_its_gamma_ratio():
-    p = ModelParams(1.0, 1.0, 1.0)
-    match = integrate_mode(p, IntegrationConfig(branch="plus"))
-    assert _rel(match.ratio_sq, ratio_sq(coefficients(p, "plus"))) < 1e-4
 
 
 def test_near_conformal_ratio_vanishes():
@@ -96,7 +88,7 @@ def test_combined_drift_is_a_tight_bound(point):
     dpsi = -1j * w * psi
     pair = (psi.real, psi.imag, dpsi.real, dpsi.imag, psi.real, psi.imag, -dpsi.real, -dpsi.imag)
     _, full, _, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, -1.0, eta0, cfg.eta_span, pair, cfg.rel_tol, cfg.abs_tol
+        p.eps, p.m_tilde, p.k_tilde, eta0, cfg.eta_span, pair, cfg.rel_tol, cfg.abs_tol
     )
     assert status == _kernel.STATUS_OK
     assert abs(drift - full) <= 0.05 * full
@@ -131,8 +123,6 @@ def test_config_validation():
         IntegrationConfig(rel_tol=1e-5)
     with pytest.raises(ValueError):
         IntegrationConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(branch="sideways")
 
 
 def test_requires_massive_field():

@@ -29,7 +29,7 @@ FIXED = ModelParams(1.0, 1.0, 1.0)
 FIELDS = {
     FrequencySet: ("omega_in", "omega_out", "omega_plus", "omega_minus",
                    "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"),
-    BogoliubovPair: ("branch", "log_abs_A", "log_abs_B", "phase_A", "phase_B"),
+    BogoliubovPair: ("log_abs_A", "log_abs_B", "phase_A", "phase_B"),
     CreationFactor: ("mixing_sq", "X", "dX_deps", "derivative_method"),
     ProbeState: ("p0", "p1", "X", "dX"),
     EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
