@@ -11,14 +11,15 @@ closed forms against direct integration of the mode equation.
 `import cosmo_qfi` loads the closed-form core that every CLI command runs
 (`errors`, `cosmology`, `specfun`, `bogoliubov`, `probe`) and the kernel
 backend selection (`_kernel`), nothing else.  `_kernel` stays eager so that
-`kernel_backend` is a plain attribute; `probe` stays eager so that
-`cosmo_qfi.probe` is the function (importing the submodule later would rebind
-that attribute to the module).  The exports of `sweeps`, `oracle` and `qfi`
-resolve on first access through the module `__getattr__` (PEP 562), which
-imports their home module then: a `point` evaluation never pays for the sweep
-engine, the thread pool, the mode-equation oracle or the spectral QFI.  Lazy
-names are not cached on the package, so each access reads the home module's
-current binding.
+`kernel_backend` is a plain attribute; it names the backend without loading
+the pure-Python integrator, which loads when the oracle first integrates.
+`probe` stays eager so that `cosmo_qfi.probe` is the function (importing the
+submodule later would rebind that attribute to the module).  The exports of
+`sweeps`, `oracle` and `qfi` resolve on first access through the module
+`__getattr__` (PEP 562), which imports their home module then: a `point`
+evaluation never pays for the sweep engine, the thread pool, the
+mode-equation oracle or the spectral QFI.  Lazy names are not cached on the
+package, so each access reads the home module's current binding.
 """
 
 from importlib import import_module as _import_module

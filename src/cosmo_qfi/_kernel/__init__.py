@@ -12,27 +12,39 @@ Both step with DOP853 (Hairer's 8th-order pair with its combined 5th/3rd-order
 error estimate) and sum every stage in the same order, so they take the same
 steps.  The pure twin's pair stepper holds psi1, psi1', psi2 and psi2' as four
 complex locals: that halves its Python operations per stage against float
-locals, gives the same floats as the generic reference stepper, and compiles
-small enough that importing it costs every process little (see `pure`).
+locals and gives the same floats as the generic reference stepper (see
+`pure`).
+
+Importing this package does not import the pure twin: `BACKEND` is set from
+the environment and the attempt to import `_mode_rk`, and `impl` resolves to
+`pure` on first access through the module `__getattr__` (PEP 562), so only
+the commands that integrate the mode equation compile it.  The status codes
+live here; both twins return them.
 """
 
 from __future__ import annotations
 
 import os
 
-from . import pure
+STATUS_OK = 0
+STATUS_MAX_STEPS = 1
+STATUS_UNDERFLOW = 2
+STATUS_NONFINITE = 3
 
-if os.environ.get("COSMO_QFI_PURE"):
-    impl = pure
-else:
+BACKEND = "pure"
+if not os.environ.get("COSMO_QFI_PURE"):
     try:
-        from . import _mode_rk as impl  # type: ignore[no-redef]
+        from . import _mode_rk as impl
     except ImportError:
-        impl = pure
+        pass
+    else:
+        BACKEND = impl.BACKEND
 
-BACKEND = impl.BACKEND
 
-STATUS_OK = pure.STATUS_OK
-STATUS_MAX_STEPS = pure.STATUS_MAX_STEPS
-STATUS_UNDERFLOW = pure.STATUS_UNDERFLOW
-STATUS_NONFINITE = pure.STATUS_NONFINITE
+def __getattr__(name: str):
+    if name != "impl":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import pure
+
+    globals()["impl"] = pure  # later reads find it without this hook
+    return pure

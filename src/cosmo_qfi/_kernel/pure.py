@@ -30,23 +30,20 @@ it is exact: CPython's complex product computes `_deriv`'s w*y0 - v*y1 and
 w*y1 + v*y0 term for term, and a float times a complex gives the same parts
 as two float products for finite values.  (Eight float locals run a step
 somewhat faster, but their longer code takes several times the memory to
-compile, which every process pays on import.)  The copy writes every sum in the order and
-grouping of `_advance`: floating-point sums are not associative, so a
-regrouped sum would move the last bits of an error estimate and from there
-the step sequence and every returned figure.  Written this way the two give
-equal results, bit for bit.
+compile, which every process that integrates pays on import.)  The copy
+writes every sum in the order and grouping of `_advance`: floating-point sums
+are not associative, so a regrouped sum would move the last bits of an error
+estimate and from there the step sequence and every returned figure.  Written
+this way the two give equal results, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-BACKEND = "pure"
+from . import STATUS_MAX_STEPS, STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
 
-STATUS_OK = 0
-STATUS_MAX_STEPS = 1
-STATUS_UNDERFLOW = 2
-STATUS_NONFINITE = 3
+BACKEND = "pure"
 
 # DOP853 tableau, as in Hairer's dop853.f (the decimal literals of SciPy's
 # dop853_coefficients).  Stage s runs at eta + _Cs h (stage 11 at eta + h)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import DegenerateParameterError
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(namedtuple("ModelParams", ("eps", "m_tilde", "k_tilde"))):
     """Dimensionless channel parameters.
 
     eps
@@ -29,17 +27,21 @@ class ModelParams:
         Mode wave number in units of the expansion rate.  Strictly positive.
     """
 
-    eps: float
-    m_tilde: float
-    k_tilde: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if not (math.isfinite(self.m_tilde) and self.m_tilde >= 0.0):
-            raise ValueError(f"m_tilde must be finite and >= 0, got {self.m_tilde}")
-        if not (math.isfinite(self.k_tilde) and self.k_tilde > 0.0):
-            raise ValueError(f"k_tilde must be finite and > 0, got {self.k_tilde}")
+    def __new__(cls, eps: float, m_tilde: float, k_tilde: float):
+        if not (math.isfinite(eps) and eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {eps}")
+        if not (math.isfinite(m_tilde) and m_tilde >= 0.0):
+            raise ValueError(f"m_tilde must be finite and >= 0, got {m_tilde}")
+        if not (math.isfinite(k_tilde) and k_tilde > 0.0):
+            raise ValueError(f"k_tilde must be finite and > 0, got {k_tilde}")
+        return tuple.__new__(cls, (eps, m_tilde, k_tilde))
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through the constructor, so `_replace` validates too.
+        return cls(*iterable)
 
 
 class FrequencySet(namedtuple("FrequencySet", (

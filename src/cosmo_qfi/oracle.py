@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from . import _kernel
 from .cosmology import ModelParams, frequencies, scale_factor
@@ -30,8 +29,7 @@ _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
 
 
-@dataclass(frozen=True)
-class IntegrationConfig:
+class IntegrationConfig(namedtuple("IntegrationConfig", ("eta_span", "rel_tol", "abs_tol"))):
     """Window and tolerance settings for the mode-equation integration.
 
     eta_span is the half-width of the window in units of the inverse
@@ -46,22 +44,26 @@ class IntegrationConfig:
     Wronskian drift stays below the verification budget.
     """
 
-    eta_span: float = 15.0
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.eta_span):
-            raise ValueError(f"eta_span must be finite, got {self.eta_span}")
-        if self.eta_span <= 0.0:
-            raise ValueError(f"eta_span must be positive, got {self.eta_span}")
-        if 1.0 - abs(math.tanh(self.eta_span)) >= 1e-12:
+    def __new__(cls, eta_span: float = 15.0, rel_tol: float = 1e-12, abs_tol: float = 1e-14):
+        if not math.isfinite(eta_span):
+            raise ValueError(f"eta_span must be finite, got {eta_span}")
+        if eta_span <= 0.0:
+            raise ValueError(f"eta_span must be positive, got {eta_span}")
+        if 1.0 - abs(math.tanh(eta_span)) >= 1e-12:
             raise ValueError(
-                f"eta_span {self.eta_span} too small: scale factor not saturated"
+                f"eta_span {eta_span} too small: scale factor not saturated"
             )
-        for tol in (self.rel_tol, self.abs_tol):
+        for tol in (rel_tol, abs_tol):
             if not 0.0 < tol <= 1e-6:
                 raise ValueError(f"tolerance {tol} outside (0, 1e-6]")
+        return tuple.__new__(cls, (eta_span, rel_tol, abs_tol))
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through the constructor, so `_replace` validates too.
+        return cls(*iterable)
 
 
 class MatchResult(namedtuple("MatchResult", (

@@ -74,8 +74,8 @@ def qfi_eps(
         (1+X) (d p0)^2 + ((1+X)/X) (d p1)^2,
 
     and cross-checks it against the simplified (dX)^2 / (X (1+X)^2) before
-    returning; disagreement beyond rounding (a broken derivative, the
-    simplified form underflowing) or a non-finite literal form raises
+    returning; disagreement beyond rounding (a broken derivative, either form
+    leaving the range of doubles) or a non-finite literal form raises
     IdentityCheckError.  X = 0 returns zero information by convention (the
     derivative vanishes at least as fast as sqrt(X) there).
     """
@@ -90,7 +90,8 @@ def qfi_eps(
         dp0 = -dX / denom
         dp1 = dX / denom
         qfi = (1.0 + X) * dp0 * dp0 + (1.0 + X) / X * dp1 * dp1
-        simplified = dX * dX / (X * denom)
+        # dX/X first: dX*dX underflows to zero where the QFI itself is normal.
+        simplified = dX / X * dX / denom
         # Written so that a NaN in either form, or an overflowed literal form
         # (at subnormal X, (1+X)/X is inf), fails the check.
         diff = abs(qfi - simplified)

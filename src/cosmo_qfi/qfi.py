@@ -10,7 +10,7 @@ outcomes contribute nothing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SingularOutcomeError
 
@@ -18,63 +18,70 @@ _PROB_SUM_TOL = 1e-12
 _DPROB_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(namedtuple("OutcomeDistribution", ("probs", "dprobs"))):
     """Outcome probabilities and their parameter derivatives."""
 
-    probs: tuple[float, ...]
-    dprobs: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(x) for x in self.probs))
-        object.__setattr__(self, "dprobs", tuple(float(x) for x in self.dprobs))
-        if len(self.probs) != len(self.dprobs):
+    def __new__(cls, probs: tuple[float, ...], dprobs: tuple[float, ...]):
+        probs = tuple(float(x) for x in probs)
+        dprobs = tuple(float(x) for x in dprobs)
+        if len(probs) != len(dprobs):
             raise ValueError("probs and dprobs must have equal length")
-        if not self.probs:
+        if not probs:
             raise ValueError("empty distribution")
-        for x in self.probs:
+        for x in probs:
             if not (0.0 <= x <= 1.0) or not math.isfinite(x):
                 raise ValueError(f"probability {x} outside [0, 1]")
-        if abs(math.fsum(self.probs) - 1.0) > _PROB_SUM_TOL:
+        if abs(math.fsum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ValueError("probabilities do not sum to 1")
-        if abs(math.fsum(self.dprobs)) > _DPROB_SUM_TOL:
+        if abs(math.fsum(dprobs)) > _DPROB_SUM_TOL:
             raise ValueError("probability derivatives do not sum to 0")
+        return tuple.__new__(cls, (probs, dprobs))
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through the constructor, so `_replace` validates too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
+class SpectralFamily(namedtuple(
+        "SpectralFamily", ("eigenvalues", "deigenvalues", "overlap_terms"))):
     """Eigenvalues, their derivatives, and eigenvector overlap strengths.
 
     overlap_terms[m][n] holds |<psi_m | d psi_n>|^2 and must be symmetric
     with nonnegative entries.
     """
 
-    eigenvalues: tuple[float, ...]
-    deigenvalues: tuple[float, ...]
-    overlap_terms: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", tuple(float(x) for x in self.eigenvalues))
-        object.__setattr__(self, "deigenvalues", tuple(float(x) for x in self.deigenvalues))
-        object.__setattr__(
-            self, "overlap_terms", tuple(tuple(float(x) for x in row) for row in self.overlap_terms)
-        )
-        n = len(self.eigenvalues)
-        if len(self.deigenvalues) != n or len(self.overlap_terms) != n:
+    def __new__(cls, eigenvalues: tuple[float, ...], deigenvalues: tuple[float, ...],
+                overlap_terms: tuple[tuple[float, ...], ...]):
+        eigenvalues = tuple(float(x) for x in eigenvalues)
+        deigenvalues = tuple(float(x) for x in deigenvalues)
+        overlap_terms = tuple(tuple(float(x) for x in row) for row in overlap_terms)
+        n = len(eigenvalues)
+        if len(deigenvalues) != n or len(overlap_terms) != n:
             raise ValueError("inconsistent family dimensions")
-        for lam in self.eigenvalues:
+        for lam in eigenvalues:
             if lam < 0.0 or not math.isfinite(lam):
                 raise ValueError(f"eigenvalue {lam} negative or non-finite")
-        if abs(math.fsum(self.eigenvalues) - 1.0) > _PROB_SUM_TOL:
+        if abs(math.fsum(eigenvalues) - 1.0) > _PROB_SUM_TOL:
             raise ValueError("eigenvalues do not sum to 1")
-        for i, row in enumerate(self.overlap_terms):
+        for i, row in enumerate(overlap_terms):
             if len(row) != n:
                 raise ValueError("overlap_terms must be square")
             for j, w in enumerate(row):
                 if w < 0.0:
                     raise ValueError("overlap_terms must be nonnegative")
-                if w != self.overlap_terms[j][i]:
+                if w != overlap_terms[j][i]:
                     raise ValueError("overlap_terms must be symmetric")
+        return tuple.__new__(cls, (eigenvalues, deigenvalues, overlap_terms))
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through the constructor, so `_replace` validates too.
+        return cls(*iterable)
 
 
 def classical_fisher(d: OutcomeDistribution) -> float:

@@ -21,7 +21,6 @@ import math
 import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
@@ -35,8 +34,7 @@ _ZOOM_POINTS = 21  # odd, so each later zoom grid is centred on the best point s
 _REFINE_XATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", ("variable", "lo", "hi", "points", "fixed", "trials"))):
     """One-dimensional sweep description.
 
     `fixed` supplies the two parameters that are not swept (its value for the
@@ -44,25 +42,27 @@ class SweepSpec:
     m_tilde, where zero mass is a valid degenerate input.
     """
 
-    variable: str
-    lo: float
-    hi: float
-    points: int
-    fixed: ModelParams
-    trials: float = DEFAULT_TRIALS
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variable not in SWEEP_VARIABLES:
+    def __new__(cls, variable: str, lo: float, hi: float, points: int, fixed: ModelParams,
+                trials: float = DEFAULT_TRIALS):
+        if variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
-        lo_min_ok = self.lo > 0.0 or (self.lo == 0.0 and self.variable == "m_tilde")
+        lo_min_ok = lo > 0.0 or (lo == 0.0 and variable == "m_tilde")
         if not lo_min_ok:
-            raise ValueError(f"lo must be > 0 (>= 0 for m_tilde), got {self.lo}")
-        if not self.hi > self.lo:
-            raise ValueError(f"hi must exceed lo, got [{self.lo}, {self.hi}]")
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
-        if not (math.isfinite(self.trials) and self.trials >= 1):
-            raise ValueError(f"trials must be finite and >= 1, got {self.trials}")
+            raise ValueError(f"lo must be > 0 (>= 0 for m_tilde), got {lo}")
+        if not hi > lo:
+            raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
+        if points < 2:
+            raise ValueError(f"points must be >= 2, got {points}")
+        if not (math.isfinite(trials) and trials >= 1):
+            raise ValueError(f"trials must be finite and >= 1, got {trials}")
+        return tuple.__new__(cls, (variable, lo, hi, points, fixed, trials))
+
+    @classmethod
+    def _make(cls, iterable):
+        # Through the constructor, so `_replace` validates too.
+        return cls(*iterable)
 
 
 class SweepRow(namedtuple("SweepRow", ("value", "qfi", "bound", "entropy", "p1"))):
@@ -88,8 +88,8 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
 
 
 def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
-    # Built directly: dataclasses.replace costs several times more per point,
-    # and the constructor validates the point either way.
+    # Built directly: `fixed._replace` costs more per point, and the
+    # constructor validates the point either way.
     fields = {"eps": fixed.eps, "m_tilde": fixed.m_tilde, "k_tilde": fixed.k_tilde}
     fields[variable] = value
     return ModelParams(**fields)

@@ -93,8 +93,8 @@ def test_degenerate_evaluation_exits_three(capsys):
 
 
 def test_identity_check_failure_exits_three(capsys):
-    # the simplified QFI form underflows to 0 where the literal form does not
-    code, out, err = run(capsys, "point", "--eps", "2.64e-6", "--m", "0.482", "--k", "69.6")
+    # X = 2.5e-311 is subnormal: the literal QFI form overflows to inf
+    code, out, err = run(capsys, "point", "--eps", "0.1", "--m", "82", "--k", "82")
     assert code == 3
     assert out == ""
     assert err.startswith("error: QFI forms disagree")
@@ -159,7 +159,7 @@ def _loaded_after(tmp_path, body):
         "import json, sys\n"
         "from cosmo_qfi.cli import main\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('numpy', 'scipy', 'typing', 'concurrent', 'cosmo_qfi'))\n"
+        "('numpy', 'scipy', 'typing', 'dataclasses', 'inspect', 'concurrent', 'cosmo_qfi'))\n"
         f"out = []\n{body}print(json.dumps(out))\n"
     )
     src = str(Path(cosmo_qfi.__file__).resolve().parents[1])
@@ -172,26 +172,40 @@ def _loaded_after(tmp_path, body):
 
 def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     # Each command loads only the layers it runs: record the loaded modules
-    # after `point`, then after a `sweep`, and separately after a `verify`.
-    point, swept, probe_is_function, everything = _loaded_after(tmp_path, (
-        "main(['point']); out.append(loaded())\n"
-        "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); out.append(loaded())\n"
-        "import cosmo_qfi, cosmo_qfi.oracle\n"
-        "out.append(cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe)\n"
-        "import cosmo_qfi.qfi, cosmo_qfi.verify; out.append(loaded())\n"
-    ))
+    # after `point`, then after an `optimize` and a `sweep`, and separately
+    # after a `verify`.
+    point, optimized, swept, backend_read, probe_is_function, everything = _loaded_after(
+        tmp_path, (
+            "main(['point']); out.append(loaded())\n"
+            "main(['optimize', '--var', 'k', '--lo', '0.5', '--hi', '2']); out.append(loaded())\n"
+            "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); "
+            "out.append(loaded())\n"
+            "import cosmo_qfi, cosmo_qfi.oracle\n"
+            "out.append([cosmo_qfi.kernel_backend, *loaded()])\n"
+            "out.append(cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe)\n"
+            "import cosmo_qfi.qfi, cosmo_qfi.verify; out.append(loaded())\n"
+        ))
     (verified,) = _loaded_after(
         tmp_path, "main(['verify', '--points', '2', '--ode-points', '1']); out.append(loaded())\n")
     # no module of the package, once all are loaded, pulls in NumPy or SciPy,
-    # nor `typing`, whose import alone costs milliseconds per command
-    for loaded in (point, swept, verified, everything):
-        assert not [m for m in loaded if m.split(".")[0] in ("numpy", "scipy", "typing")]
-    for loaded in (point, swept):
+    # nor `typing`, `dataclasses` or `inspect`, whose imports alone cost
+    # milliseconds per command
+    heavy = ("numpy", "scipy", "typing", "dataclasses", "inspect")
+    for loaded in (point, optimized, swept, verified, everything):
+        assert not [m for m in loaded if m.split(".")[0] in heavy]
+    for loaded in (point, optimized, swept):
         assert not {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} & set(loaded)
     assert {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} <= set(everything)
     assert "cosmo_qfi.probe" in point
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(point)
-    assert "cosmo_qfi.sweeps" in swept
+    assert "cosmo_qfi.sweeps" in optimized
+    # the pure integrator loads only where the mode equation is integrated:
+    # not for the closed-form commands, nor to read the backend or import
+    # every module, but for `verify` when it is the selected backend
+    assert backend_read[0] in ("pure", "compiled")
+    for loaded in (point, optimized, swept, backend_read, everything):
+        assert "cosmo_qfi._kernel.pure" not in loaded
+    assert ("cosmo_qfi._kernel.pure" in verified) == (backend_read[0] == "pure")
     # the oracle runs on the calling thread: verify needs no sweep engine or pool
     assert "cosmo_qfi.verify" in verified
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(verified)

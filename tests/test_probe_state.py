@@ -105,11 +105,25 @@ def test_qfi_collapses_at_large_eps():
 
 
 def test_qfi_identity_mismatch_raises_typed_error():
-    # literal form about 4e-189, simplified form underflows to 0
-    with pytest.raises(IdentityCheckError) as info:
-        qfi_eps(ModelParams(2.64e-6, 0.482, 69.6))
+    # X = 2.5e-311 is subnormal: the literal form overflows to inf while the
+    # simplified form is 3.5e-307
+    with pytest.raises(IdentityCheckError, match="literal=inf") as info:
+        qfi_eps(ModelParams(0.1, 82.0, 82.0))
     assert isinstance(info.value, CosmoQfiError)
     assert isinstance(info.value, ArithmeticError)
+
+
+@pytest.mark.parametrize("point", [(1.0, 1e-3, 67.69), (2.64e-6, 0.482, 69.6)])
+def test_qfi_evaluates_where_dX_squared_underflows(point):
+    # dX^2 underflows to 0 although the QFI, about 3e-189 and 4e-189, is a
+    # normal double: the cross-check must not compare against that zero
+    est = qfi_eps(ModelParams(*point))
+    X, dX = est.state.X, est.state.dX
+    assert dX * dX == 0.0
+    dp = dX / ((1.0 + X) * (1.0 + X))
+    literal = (1.0 + X) * dp * dp + (1.0 + X) / X * dp * dp
+    assert est.qfi == literal > 1e-190
+    assert math.isfinite(est.bound)
 
 
 def test_qfi_nan_literal_form_raises_typed_error():

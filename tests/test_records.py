@@ -1,5 +1,5 @@
-"""Result records are immutable named tuples; validated inputs still check
-every point a sweep, an optimization or a finite difference builds."""
+"""Records are immutable named tuples; validated inputs check every point a
+sweep, an optimization or a finite difference builds, however it is built."""
 
 import math
 
@@ -10,10 +10,13 @@ from cosmo_qfi import (
     CreationFactor,
     EstimationResult,
     FrequencySet,
+    IntegrationConfig,
     MatchResult,
     ModelParams,
     OptimumResult,
+    OutcomeDistribution,
     ProbeState,
+    SpectralFamily,
     SweepRow,
     SweepSpec,
     dX_deps_fd,
@@ -40,6 +43,17 @@ FIELDS = {
 }
 
 
+# Validated inputs: a valid record and, for one field, a value it rejects.
+VALIDATED = {
+    ModelParams: (FIXED, "k_tilde", 0.0),
+    SweepSpec: (SweepSpec("m_tilde", 0.1, 1.0, 3, FIXED), "points", 1),
+    IntegrationConfig: (IntegrationConfig(), "rel_tol", 1e-5),
+    OutcomeDistribution: (OutcomeDistribution((0.5, 0.5), (0.1, -0.1)), "probs", (0.6, 0.6)),
+    SpectralFamily: (SpectralFamily((0.5, 0.5), (0.1, -0.1), ((0.0, 0.2), (0.2, 0.0))),
+                     "overlap_terms", ((0.0, 0.1), (0.2, 0.0))),
+}
+
+
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_record_fields_keep_their_order(cls):
     assert cls._fields == FIELDS[cls]
@@ -56,6 +70,29 @@ def test_record_is_immutable(cls):
             setattr(rec, f, -1)
     with pytest.raises(AttributeError):
         rec.extra = 1  # no instance dict either
+
+
+# Each way of building a record, from the class, a valid record and the
+# field values to build from.
+BUILDERS = {
+    "positional": lambda cls, good, values: cls(*values.values()),
+    "keyword": lambda cls, good, values: cls(**values),
+    "_make": lambda cls, good, values: cls._make(values.values()),
+    "_replace": lambda cls, good, values: good._replace(**values),
+}
+
+
+@pytest.mark.parametrize("how", BUILDERS)
+@pytest.mark.parametrize("cls", VALIDATED, ids=lambda c: c.__name__)
+def test_validated_record_rejects_a_bad_value_however_built(cls, how):
+    good, field, bad = VALIDATED[cls]
+    build = BUILDERS[how]
+    rebuilt = build(cls, good, good._asdict())
+    assert rebuilt == good and type(rebuilt) is cls
+    with pytest.raises(ValueError):
+        build(cls, good, dict(good._asdict(), **{field: bad}))
+    with pytest.raises(AttributeError):  # nor can a built record take it later
+        setattr(good, field, bad)
 
 
 def test_check_result_passed():
