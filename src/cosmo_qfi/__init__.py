@@ -18,8 +18,9 @@ submodule later would rebind that attribute to the module).  The exports of
 `sweeps`, `oracle` and `qfi` resolve on first access through the module
 `__getattr__` (PEP 562), which imports their home module then: a `point`
 evaluation never pays for the sweep engine, the thread pool, the
-mode-equation oracle or the spectral QFI.  Lazy names are not cached on the
-package, so each access reads the home module's current binding.
+mode-equation oracle or the eigenprojector Fisher information.  Lazy names
+are not cached on the package, so each access reads the home module's
+current binding.
 """
 
 from importlib import import_module as _import_module
@@ -63,7 +64,7 @@ _LAZY = {
     **dict.fromkeys(
         ("IntegrationConfig", "MatchResult", "integrate_mode", "wronskian_drift"), "oracle"),
     **dict.fromkeys(
-        ("OutcomeDistribution", "SpectralFamily", "classical_fisher", "qfi_spectral"), "qfi"),
+        ("OutcomeDistribution", "classical_fisher"), "qfi"),
     **dict.fromkeys(
         ("OptimumResult", "SweepRow", "SweepSpec", "optimize", "sweep"), "sweeps"),
 }
@@ -91,7 +92,6 @@ __all__ = [
     "PoleError",
     "ProbeState",
     "SingularOutcomeError",
-    "SpectralFamily",
     "SweepRow",
     "SweepSpec",
     "WindowTooSmallError",
@@ -108,7 +108,6 @@ __all__ = [
     "optimize",
     "probe",
     "qfi_eps",
-    "qfi_spectral",
     "ratio_sq",
     "scale_factor",
     "state_entropy",

@@ -12,8 +12,8 @@ round-trip form and manifests carry no timestamps.
 Only the closed-form core that `point` runs is imported with this module.
 `sweep` and `optimize` import the sweep engine (and with it the thread pool)
 when they run, and `verify` imports the verification suites (and with them
-the mode-equation oracle and the spectral QFI) when it runs, so no command
-pays at start-up for layers it does not use.
+the mode-equation oracle and the eigenprojector Fisher information) when it
+runs, so no command pays at start-up for layers it does not use.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Expansion kinematics: scale factor and all derived mode frequencies.
 
-Every quantity is stored dimensionless (divided by the expansion rate rho);
-rho enters only through `scale_factor`, which the mode-equation oracle
-integrates with rho = 1.  The Bogoliubov coefficients depend on the expansion
-only through these dimensionless combinations.
+Every quantity is stored dimensionless (divided by the expansion rate rho),
+so conformal time is measured in units of 1/rho and `scale_factor` has
+rho = 1 built in, as have both mode-equation kernels.  The Bogoliubov
+coefficients depend on the expansion only through these dimensionless
+combinations.
 """
 
 from __future__ import annotations
@@ -57,15 +58,15 @@ class FrequencySet(namedtuple("FrequencySet", (
     __slots__ = ()
 
 
-def scale_factor(eta: float, eps: float, rho: float) -> float:
-    """Conformal factor 1 + eps*(1 + tanh(rho*eta)).
+def scale_factor(eta: float, eps: float) -> float:
+    """Conformal factor 1 + eps*(1 + tanh(eta)), eta in units of 1/rho.
 
     Tends to 1 in the asymptotic past and to 1 + 2*eps in the asymptotic
-    future; rho sets how fast the transition happens.
+    future.
     """
-    if not (rho > 0.0 and eps > 0.0):
-        raise ValueError("scale_factor requires rho > 0 and eps > 0")
-    return 1.0 + eps * (1.0 + math.tanh(rho * eta))
+    if not eps > 0.0:
+        raise ValueError("scale_factor requires eps > 0")
+    return 1.0 + eps * (1.0 + math.tanh(eta))
 
 
 def frequencies(p: ModelParams) -> FrequencySet:

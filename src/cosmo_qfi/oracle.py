@@ -81,8 +81,8 @@ class MatchResult(namedtuple("MatchResult", (
 
 
 def _check_window(p: ModelParams, span: float, eta0: float) -> None:
-    a_out = scale_factor(span, p.eps, 1.0)
-    a_in = scale_factor(eta0, p.eps, 1.0)
+    a_out = scale_factor(span, p.eps)
+    a_in = scale_factor(eta0, p.eps)
     if abs(a_out - (1.0 + 2.0 * p.eps)) > _ASYMPTOTE_TOL or abs(a_in - 1.0) > _ASYMPTOTE_TOL:
         raise WindowTooSmallError(
             f"a(eta) not asymptotic at window ends (span {span}, eps {p.eps})"

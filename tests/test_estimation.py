@@ -209,6 +209,15 @@ def test_verify_tolerances_are_read_at_call_time(monkeypatch):
     assert not any(r.passed for r in worse)
 
 
+@pytest.mark.parametrize("point", [(1.0, 0.0, 1.0), (1.0, 1e-3, 67.69)])
+def test_verify_identity_checks_hold_off_the_grid(point):
+    # X = 0 (massless), and a QFI of 3.1e-189 where dX*dX underflows to zero
+    p = ModelParams(*point)
+    grid = [(p, qfi_eps(p))]
+    assert verify.check_qfi_identity(grid).passed
+    assert verify.check_measurement_optimality(grid).passed
+
+
 class _NoPool:
     def __init__(self, *args, **kwargs):
         raise AssertionError("a thread pool was constructed")

@@ -79,7 +79,8 @@ def test_qfi_matches_simplified_form_on_grid():
 
 
 def test_eigenprojector_measurement_saturates_qfi():
-    for point in [(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (3.0, 1.5, 0.4)]:
+    # (1, 1e-3, 67.69): QFI 3.1e-189, where dp*dp underflows to zero
+    for point in [(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (3.0, 1.5, 0.4), (1.0, 1e-3, 67.69)]:
         est = qfi_eps(ModelParams(*point))
         assert abs(_eigenprojector_fisher(est.state) - est.qfi) <= 1e-10 * est.qfi
 

@@ -1,4 +1,4 @@
-"""Fisher machinery: classical and spectral information."""
+"""Classical Fisher information of discrete outcome families."""
 
 import math
 
@@ -9,10 +9,8 @@ from cosmo_qfi import (
     ModelParams,
     OutcomeDistribution,
     SingularOutcomeError,
-    SpectralFamily,
     classical_fisher,
-    probe,
-    qfi_spectral,
+    qfi_eps,
 )
 
 
@@ -45,49 +43,12 @@ def test_outcome_distribution_validation():
         OutcomeDistribution((1.2, -0.2), (0.0, 0.0))
 
 
-def test_qfi_spectral_constant_family():
-    fam = SpectralFamily((0.4, 0.6), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-    assert qfi_spectral(fam) == 0.0
-
-
-def test_qfi_spectral_diagonal_equals_classical():
-    probs, dprobs = (0.2, 0.5, 0.3), (0.05, -0.02, -0.03)
-    fam = SpectralFamily(probs, dprobs, tuple((0.0,) * 3 for _ in range(3)))
-    d = OutcomeDistribution(probs, dprobs)
-    assert qfi_spectral(fam) == classical_fisher(d)
-
-
-def test_qfi_spectral_two_level_with_overlap():
-    # lambda = (0.3, 0.7), dlambda = (0.1, -0.1), overlap 0.05:
-    # 0.01/0.3 + 0.01/0.7 + 2 * 2 * 0.16 * 0.05 = 209/2625, frozen by direct
-    # substitution into the spectral formula.
-    fam = SpectralFamily((0.3, 0.7), (0.1, -0.1), ((0.0, 0.05), (0.05, 0.0)))
-    assert math.isclose(qfi_spectral(fam), 209.0 / 2625.0, rel_tol=1e-14)
-
-
-def test_qfi_spectral_skips_zero_eigenvalues():
-    fam = SpectralFamily((1.0, 0.0), (0.1, -0.1), ((0.0, 0.2), (0.2, 0.0)))
-    # first sum keeps only lambda=1; cross terms use (1-0)^2/(1+0)
-    assert math.isclose(qfi_spectral(fam), 0.01 + 2.0 * 2.0 * 0.2, rel_tol=1e-14)
-
-
-def test_spectral_family_validation():
-    with pytest.raises(ValueError):
-        SpectralFamily((0.5, 0.5), (0.0, 0.0), ((0.0, 0.1), (0.2, 0.0)))  # asymmetric
-    with pytest.raises(ValueError):
-        SpectralFamily((0.5, 0.5), (0.0, 0.0), ((0.0, -0.1), (-0.1, 0.0)))
-    with pytest.raises(ValueError):
-        SpectralFamily((-0.1, 1.1), (0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
-
-
 def test_cramer_rao_ordering_under_coarse_graining():
     # any 2-outcome coarse-graining of the diagonal probe family carries at
-    # most the spectral information
-    st = probe(ModelParams(0.8, 0.6, 1.3))
-    denom = (1.0 + st.X) ** 2
-    dp0 = -st.dX / denom
-    fam = SpectralFamily((st.p0, st.p1), (dp0, -dp0), ((0.0, 0.0), (0.0, 0.0)))
-    full = qfi_spectral(fam)
+    # most the quantum Fisher information
+    est = qfi_eps(ModelParams(0.8, 0.6, 1.3))
+    st, full = est.state, est.qfi
+    dp0 = -st.dX / (1.0 + st.X) ** 2
     rng = np.random.default_rng(23)
     for _ in range(200):
         t0, t1 = rng.uniform(0.0, 1.0, size=2)
@@ -109,12 +70,3 @@ def test_nonnegativity_random_families():
         d -= d.mean()
         dprobs = tuple(d)
         assert classical_fisher(OutcomeDistribution(probs, dprobs)) >= 0.0
-        w = abs(rng.normal(0.0, 0.05))
-        fam = SpectralFamily(
-            (probs[0], probs[1], probs[2], probs[3]),
-            dprobs,
-            tuple(
-                tuple(w if i != j else 0.0 for j in range(4)) for i in range(4)
-            ),
-        )
-        assert qfi_spectral(fam) >= 0.0

@@ -16,7 +16,6 @@ from cosmo_qfi import (
     OptimumResult,
     OutcomeDistribution,
     ProbeState,
-    SpectralFamily,
     SweepRow,
     SweepSpec,
     dX_deps_fd,
@@ -49,8 +48,6 @@ VALIDATED = {
     SweepSpec: (SweepSpec("m_tilde", 0.1, 1.0, 3, FIXED), "points", 1),
     IntegrationConfig: (IntegrationConfig(), "rel_tol", 1e-5),
     OutcomeDistribution: (OutcomeDistribution((0.5, 0.5), (0.1, -0.1)), "probs", (0.6, 0.6)),
-    SpectralFamily: (SpectralFamily((0.5, 0.5), (0.1, -0.1), ((0.0, 0.2), (0.2, 0.0))),
-                     "overlap_terms", ((0.0, 0.1), (0.2, 0.0))),
 }
 
 
