@@ -53,7 +53,6 @@ from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
     ProbeState,
-    entanglement_entropy,
     probe,
     qfi_eps,
     state_entropy,
@@ -62,7 +61,7 @@ from .probe import (
 # Export name -> submodule, for the layers loaded on first access.
 _LAZY = {
     **dict.fromkeys(
-        ("IntegrationConfig", "MatchResult", "integrate_mode", "wronskian_drift"), "oracle"),
+        ("MatchResult", "integrate_mode", "wronskian_drift"), "oracle"),
     **dict.fromkeys(
         ("OutcomeDistribution", "classical_fisher"), "qfi"),
     **dict.fromkeys(
@@ -83,7 +82,6 @@ __all__ = [
     "FINITE_DIFFERENCE",
     "FrequencySet",
     "IdentityCheckError",
-    "IntegrationConfig",
     "IntegrationError",
     "MatchResult",
     "ModelParams",
@@ -99,7 +97,6 @@ __all__ = [
     "coefficients",
     "dX_deps_analytic",
     "dX_deps_fd",
-    "entanglement_entropy",
     "excitation_weight",
     "frequencies",
     "integrate_mode",

@@ -13,57 +13,37 @@ phase conventions of the exact mode functions are not reproduced.
 The in-mode is integrated stacked with a partner solution, so one pair
 integration yields the ratio, the fit residual and the Wronskian drift that
 gauges the integrator along the in-mode's own step sequence.
+
+The oracle runs in one fixed configuration: the window [-ETA_SPAN, ETA_SPAN]
+and the step tolerances REL_TOL and ABS_TOL are module constants, read at
+call time, not caller options.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from collections import namedtuple
 
 from . import _kernel
 from .cosmology import ModelParams, frequencies, scale_factor
-from .errors import IntegrationError, WindowTooSmallError
+from .errors import DegenerateParameterError, IntegrationError, WindowTooSmallError
 
 _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
 
 
-class IntegrationConfig(namedtuple("IntegrationConfig", ("eta_span", "rel_tol", "abs_tol"))):
-    """Window and tolerance settings for the mode-equation integration.
-
-    eta_span is the half-width of the window in units of the inverse
-    expansion rate; the constructor requires tanh(eta_span) within 1e-12 of
-    1.  The window, not the integrator, bounds the oracle's accuracy: at its
-    ends a(eta) still differs from its limits by about 2 eps e^(-2 eta_span),
-    so plane waves started and matched there leave a relative error in
-    |B/A|^2 of order 2 eps e^(-2 eta_span) / |B/A|.  At the default span of
-    15 that error is 2.9e-7 at (eps, m, k) = (0.5, 5, 2), where |B/A| is
-    4e-7, and it does not fall as rel_tol tightens; at span 20 it is 2.9e-8.
-    Tolerances are capped at 1e-6; the defaults are much tighter so the
-    Wronskian drift stays below the verification budget.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, eta_span: float = 15.0, rel_tol: float = 1e-12, abs_tol: float = 1e-14):
-        if not math.isfinite(eta_span):
-            raise ValueError(f"eta_span must be finite, got {eta_span}")
-        if eta_span <= 0.0:
-            raise ValueError(f"eta_span must be positive, got {eta_span}")
-        if 1.0 - abs(math.tanh(eta_span)) >= 1e-12:
-            raise ValueError(
-                f"eta_span {eta_span} too small: scale factor not saturated"
-            )
-        for tol in (rel_tol, abs_tol):
-            if not 0.0 < tol <= 1e-6:
-                raise ValueError(f"tolerance {tol} outside (0, 1e-6]")
-        return tuple.__new__(cls, (eta_span, rel_tol, abs_tol))
-
-    @classmethod
-    def _make(cls, iterable):
-        # Through the constructor, so `_replace` validates too.
-        return cls(*iterable)
+# Half-width of the integration window, in units of the inverse expansion
+# rate.  The window, not the integrator, bounds the oracle's accuracy: at its
+# ends a(eta) still differs from its limits by about 2 eps e^(-2 ETA_SPAN), so
+# plane waves started and matched there leave a relative error in |B/A|^2 of
+# order 2 eps e^(-2 ETA_SPAN) / |B/A|.  At span 15 that error is 2.9e-7 at
+# (eps, m, k) = (0.5, 5, 2), where |B/A| is 4e-7, and it does not fall as
+# REL_TOL tightens; at span 20 it is 2.9e-8.
+ETA_SPAN = 15.0
+# Step tolerances, tight enough that the Wronskian drift stays far below the
+# verification budget.
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
 
 
 class MatchResult(namedtuple("MatchResult", (
@@ -105,26 +85,13 @@ def _in_mode_state(omega_in: float, eta0: float) -> tuple[float, float, float, f
     return (psi.real, psi.imag, dpsi.real, dpsi.imag)
 
 
-def integrate_mode(
-    p: ModelParams,
-    cfg: IntegrationConfig | None = None,
-    eta0: float | None = None,
-) -> MatchResult:
-    """Integrate the mode equation and match the asymptotic plane waves.
-
-    eta0 optionally moves the starting point deeper into the asymptotic past
-    (the default is -eta_span); the extracted magnitude ratio must not depend
-    on it, which the property suite checks.
-    """
-    if cfg is None:
-        cfg = IntegrationConfig()
+def integrate_mode(p: ModelParams) -> MatchResult:
+    """Integrate the mode equation across [-ETA_SPAN, ETA_SPAN] and match the
+    asymptotic plane waves."""
     if p.m_tilde <= 0.0:
-        raise ValueError("integrate_mode requires m_tilde > 0")
-    span = cfg.eta_span
-    if eta0 is None:
-        eta0 = -span
-    elif not (math.isfinite(eta0) and eta0 <= -span):
-        raise ValueError(f"eta0 must be finite and at or before -eta_span, got {eta0}")
+        raise DegenerateParameterError("integrate_mode requires m_tilde > 0")
+    span, rel_tol, abs_tol = ETA_SPAN, REL_TOL, ABS_TOL
+    eta0 = -span
     _check_window(p, span, eta0)
     f = frequencies(p)
 
@@ -133,13 +100,13 @@ def integrate_mode(
     y = base + (base[0], base[1], -base[2], -base[3])
     checkpoint = span - _CHECKPOINT_BACKOFF
     y, d1, steps1, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, eta0, checkpoint, y, cfg.rel_tol, cfg.abs_tol
+        p.eps, p.m_tilde, p.k_tilde, eta0, checkpoint, y, rel_tol, abs_tol
     )
     _raise_on_status(status, p)
     psi_c = complex(y[0], y[1])
     dpsi_c = complex(y[2], y[3])
     y, d2, steps2, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, cfg.rel_tol, cfg.abs_tol
+        p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, rel_tol, abs_tol
     )
     _raise_on_status(status, p)
     psi = complex(y[0], y[1])
@@ -171,11 +138,11 @@ def integrate_mode(
     )
 
 
-def wronskian_drift(p: ModelParams, cfg: IntegrationConfig | None = None) -> float:
+def wronskian_drift(p: ModelParams) -> float:
     """Max relative drift of the Wronskian of two independent solutions.
 
     The Wronskian psi1 dpsi2 - psi2 dpsi1 is exactly conserved by the mode
     equation whatever the coefficient function, so its drift is a pure
     integrator-quality gauge.
     """
-    return integrate_mode(p, cfg).wronskian_drift
+    return integrate_mode(p).wronskian_drift

@@ -56,12 +56,6 @@ def state_entropy(state: ProbeState) -> float:
     return s
 
 
-def entanglement_entropy(p: ModelParams) -> float:
-    """Entropy of the reduced particle mode, i.e. the particle-antiparticle
-    entanglement generated by the expansion.  Zero for m_tilde = 0."""
-    return state_entropy(probe(p))
-
-
 def qfi_eps(
     p: ModelParams,
     trials: float = DEFAULT_TRIALS,

@@ -18,6 +18,7 @@ only contend for it.  Row order and values do not depend on the thread count.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,10 @@ class SweepSpec(namedtuple("SweepSpec", ("variable", "lo", "hi", "points", "fixe
             raise ValueError(f"lo must be > 0 (>= 0 for m_tilde), got {lo}")
         if not hi > lo:
             raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
+        try:
+            points = operator.index(points)
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {points!r}") from None
         if points < 2:
             raise ValueError(f"points must be >= 2, got {points}")
         if not (math.isfinite(trials) and trials >= 1):

@@ -13,7 +13,6 @@ import numpy as np
 
 from cosmo_qfi import (
     CosmoQfiError,
-    IntegrationConfig,
     ModelParams,
     SweepSpec,
     coefficients,
@@ -24,7 +23,6 @@ from cosmo_qfi import (
     qfi_eps,
     ratio_sq,
     sweep,
-    wronskian_drift,
 )
 from cosmo_qfi import verify
 from cosmo_qfi.cli import main
@@ -105,17 +103,13 @@ def test_criterion_05_ode_oracle():
         and min(m_vals) <= 0.101 and max(m_vals) >= 4.99
         and min(k_vals) <= 0.101 and max(k_vals) >= 4.99
     )
-    cfg = IntegrationConfig()
     worst_ratio, worst_drift, slowest = 0.0, 0.0, 0.0
     for p in pts:
         t0 = time.perf_counter()
-        match = integrate_mode(p, cfg)
-        slowest = max(slowest, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        drift = wronskian_drift(p, cfg)
+        match = integrate_mode(p)
         slowest = max(slowest, time.perf_counter() - t0)
         worst_ratio = max(worst_ratio, _rel(match.ratio_sq, mixing_sq_sinh(p)))
-        worst_drift = max(worst_drift, drift)
+        worst_drift = max(worst_drift, match.wronskian_drift)
     ok = (
         len(pts) >= 5 and spanning
         and worst_ratio <= 1e-4 and worst_drift < 1e-8 and slowest < 10.0

@@ -75,6 +75,8 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec("m_tilde", 0.1, 10.0, 1, FIXED)
     with pytest.raises(ValueError):
+        SweepSpec("m_tilde", 0.1, 10.0, 2.5, FIXED)  # sweep would hit a bare TypeError
+    with pytest.raises(ValueError):
         SweepSpec("m_tilde", 5.0, 1.0, 10, FIXED)
     with pytest.raises(ValueError):
         SweepSpec("k_tilde", 0.0, 1.0, 10, FIXED)  # zero lo only valid for mass

@@ -14,7 +14,6 @@ from cosmo_qfi import (
     OutcomeDistribution,
     ProbeState,
     classical_fisher,
-    entanglement_entropy,
     probe,
     qfi_eps,
     state_entropy,
@@ -159,19 +158,19 @@ def test_bound_infinite_sentinel_for_massless():
 
 
 def test_entropy_values():
-    assert entanglement_entropy(ModelParams(1.0, 0.0, 1.0)) == 0.0
+    assert state_entropy(probe(ModelParams(1.0, 0.0, 1.0))) == 0.0
     assert math.isclose(
         state_entropy(ProbeState(0.5, 0.5, 1.0, 0.0)), math.log(2.0), rel_tol=1e-15
     )
-    s = entanglement_entropy(ModelParams(1.0, 1.0, 1.0))
     st = probe(ModelParams(1.0, 1.0, 1.0))
+    s = state_entropy(st)
     expected = -st.p0 * math.log(st.p0) - st.p1 * math.log(st.p1)
     assert math.isclose(s, expected, rel_tol=1e-14)
 
 
 def test_entropy_unimodal_over_mass():
     masses = np.linspace(0.1, 10.0, 120)
-    vals = [entanglement_entropy(ModelParams(1.0, float(m), 1.0)) for m in masses]
+    vals = [state_entropy(probe(ModelParams(1.0, float(m), 1.0))) for m in masses]
     i = int(np.argmax(vals))
     assert 0 < i < len(vals) - 1
     assert all(b > a for a, b in zip(vals[: i + 1], vals[1 : i + 1]))

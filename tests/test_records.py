@@ -10,7 +10,6 @@ from cosmo_qfi import (
     CreationFactor,
     EstimationResult,
     FrequencySet,
-    IntegrationConfig,
     MatchResult,
     ModelParams,
     OptimumResult,
@@ -46,7 +45,6 @@ FIELDS = {
 VALIDATED = {
     ModelParams: (FIXED, "k_tilde", 0.0),
     SweepSpec: (SweepSpec("m_tilde", 0.1, 1.0, 3, FIXED), "points", 1),
-    IntegrationConfig: (IntegrationConfig(), "rel_tol", 1e-5),
     OutcomeDistribution: (OutcomeDistribution((0.5, 0.5), (0.1, -0.1)), "probs", (0.6, 0.6)),
 }
 
