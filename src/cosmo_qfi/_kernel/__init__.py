@@ -3,17 +3,20 @@
 The compiled kernel (`_mode_rk`, built from the hand-written `_mode_rk.c`)
 is preferred when it was built; the pure-Python twin is the fallback and can
 be forced with the COSMO_QFI_PURE environment variable (any nonempty value).
-Both expose the same two entry points: `integrate_endpoint` and
-`integrate_pair_drift`.  The oracle calls only `integrate_pair_drift`;
+Both expose the same two entry points, each advancing one solution of the
+mode equation, a 4-component state: `integrate_endpoint`, and
+`integrate_pair_drift`, which also tracks the solution's conserved Dirac norm
+as an integrator gauge.  The oracle calls only `integrate_pair_drift`;
 `integrate_endpoint` remains for the backend parity tests and for the
-benchmark's kernel tracing.
+benchmark's kernel tracing, and `integrate_pair_drift` keeps the name of the
+stacked pair and Wronskian it once tracked because `perfbench/` traces it by
+that name.
 
 Both step with DOP853 (Hairer's 8th-order pair with its combined 5th/3rd-order
 error estimate) and sum every stage in the same order, so they take the same
-steps.  The pure twin's pair stepper holds psi1, psi1', psi2 and psi2' as four
-complex locals: that halves its Python operations per stage against float
-locals and gives the same floats as the generic reference stepper (see
-`pure`).
+steps.  The pure twin's unrolled stepper holds psi and psi' as two complex
+locals: that halves its Python operations per stage against float locals and
+gives the same floats as the generic reference stepper (see `pure`).
 
 Importing this package does not import the pure twin: `BACKEND` is set from
 the environment and the attempt to import `_mode_rk`, and `impl` resolves to

@@ -2,9 +2,12 @@
  *
  * Twin of cosmo_qfi._kernel.pure: same tableau, same step controller, same
  * status codes and the same floating-point operations in the same order, so
- * the two backends are interchangeable.  The stepping loop holds no Python
- * object and runs with the GIL released, so library callers may run
- * integrations concurrently from threads.
+ * the two backends are interchangeable.  Both advance one solution, and
+ * integrate_pair_drift gauges it by its conserved Dirac norm; it keeps the
+ * name of the stacked pair and Wronskian it once tracked, because perfbench/
+ * traces it by that name.  The stepping loop holds no Python object and runs
+ * with the GIL released, so library callers may run integrations
+ * concurrently from threads.
  *
  * Build it next to the package sources (from the repository root):
  *
@@ -94,7 +97,8 @@ static const double H_INIT = 1e-3;
 static const double H_MAX = 1.0; /* never step across the expansion epoch */
 static const long MAX_STEPS = 5000000;
 
-/* The equation's coefficients; the state holds n/4 solutions. */
+/* The equation's coefficients; the state is one solution (re psi, im psi,
+ * re psi', im psi'). */
 typedef struct {
     double eps, m, k;
 } Coeffs;
@@ -108,25 +112,25 @@ static double clamp(double x, double lo, double hi)
 }
 
 /* inline: the stages call it twelve times per step. */
-static inline void deriv(double eta, const double *y, double *out, int n, const Coeffs *c)
+static inline void deriv(double eta, const double *y, double *out, const Coeffs *c)
 {
     double th = tanh(eta);
     double a = 1.0 + c->eps * (1.0 + th);
     double w = c->k * c->k + c->m * c->m * a * a;
     double v = -(c->m * c->eps) * (1.0 - th * th);
-    for (int j = 0; j < n; j += 4) {
-        out[j] = y[j + 2];
-        out[j + 1] = y[j + 3];
-        out[j + 2] = -(w * y[j] - v * y[j + 1]);
-        out[j + 3] = -(w * y[j + 1] + v * y[j]);
-    }
+    out[0] = y[2];
+    out[1] = y[3];
+    out[2] = -(w * y[0] - v * y[1]);
+    out[3] = -(w * y[1] + v * y[0]);
 }
 
-/* W = psi1 dpsi2 - psi2 dpsi1 for the stacked pair. */
-static void wronskian(const double *y, double *wr, double *wi)
+/* k^2 times the Dirac norm |psi|^2 + |psi' - i M psi|^2 / k^2 at eta, with
+ * M = m a(eta): the same relative drift, and no division (see pure.py). */
+static double dirac_norm(double eta, const double *y, const Coeffs *c)
 {
-    *wr = (y[0] * y[6] - y[1] * y[7]) - (y[4] * y[2] - y[5] * y[3]);
-    *wi = (y[0] * y[7] + y[1] * y[6]) - (y[4] * y[3] + y[5] * y[2]);
+    double mu = c->m * (1.0 + c->eps * (1.0 + tanh(eta)));
+    double x = y[2] + mu * y[1], z = y[3] - mu * y[0];
+    return c->k * c->k * (y[0] * y[0] + y[1] * y[1]) + (x * x + z * z);
 }
 
 /* Hairer's combined error from the mean squares of the scaled 5th- and
@@ -144,32 +148,31 @@ static double combined_error(double h, double err5, double err3)
 /* Stage st of advance, on its locals: yt = y + h * (sum), the sum over the
  * stage's nonzero a_sj summed left to right as in pure._advance, then
  * k[st] = f(eta + frac h, yt). */
-#define STAGE(st, frac, sum)                      \
-    do {                                          \
-        for (i = 0; i < n; i++)                   \
-            yt[i] = y[i] + h * (sum);             \
-        deriv(eta + (frac) * h, yt, k[st], n, c); \
+#define STAGE(st, frac, sum)                   \
+    do {                                       \
+        for (i = 0; i < 4; i++)                \
+            yt[i] = y[i] + h * (sum);          \
+        deriv(eta + (frac) * h, yt, k[st], c); \
     } while (0)
 
-/* Advance y (n = 4 or 8 components) in place from eta0 to eta1.  With n = 8
- * the pair's Wronskian is tracked at every accepted step. */
-static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
-                   double rtol, double atol, double *max_drift, long *accepted)
+/* Advance the 4-component y in place from eta0 to eta1.  With max_drift
+ * non-NULL the Dirac norm is tracked at every accepted step. */
+static int advance(const Coeffs *c, double eta0, double eta1, double *y, double rtol,
+                   double atol, double *max_drift, long *accepted)
 {
-    double k[12][8], yt[8], s[8], ynew[8];
-    double eta = eta0, h = eta1 - eta0, w0r = 0.0, w0i = 0.0, w0_abs = 1.0;
+    double k[12][4], yt[4], s[4], ynew[4];
+    double eta = eta0, h = eta1 - eta0, n0 = 0.0;
     long attempts = 0;
     int i;
 
     if (h > H_INIT)
         h = H_INIT;
     *accepted = 0;
-    *max_drift = 0.0;
-    if (n == 8) {
-        wronskian(y, &w0r, &w0i);
-        w0_abs = hypot(w0r, w0i);
+    if (max_drift != NULL) {
+        *max_drift = 0.0;
+        n0 = dirac_norm(eta, y, c);
     }
-    deriv(eta, y, k[0], n, c);
+    deriv(eta, y, k[0], c);
     while (eta < eta1) {
         double err5 = 0.0, err3 = 0.0, err, fac;
         int last;
@@ -197,12 +200,12 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
         STAGE(11, 1.0, A11_0 * k[0][i] + A11_3 * k[3][i] + A11_4 * k[4][i] + A11_5 * k[5][i]
                        + A11_6 * k[6][i] + A11_7 * k[7][i] + A11_8 * k[8][i] + A11_9 * k[9][i]
                        + A11_10 * k[10][i]);
-        for (i = 0; i < n; i++) {
+        for (i = 0; i < 4; i++) {
             s[i] = B0 * k[0][i] + B5 * k[5][i] + B6 * k[6][i] + B7 * k[7][i] + B8 * k[8][i]
                    + B9 * k[9][i] + B10 * k[10][i] + B11 * k[11][i];
             ynew[i] = y[i] + h * s[i];
         }
-        for (i = 0; i < n; i++) {
+        for (i = 0; i < 4; i++) {
             double sc = atol + rtol * pymax(fabs(y[i]), fabs(ynew[i]));
             double q5 = (E0 * k[0][i] + E5 * k[5][i] + E6 * k[6][i] + E7 * k[7][i]
                          + E8 * k[8][i] + E9 * k[9][i] + E10 * k[10][i] + E11 * k[11][i]) / sc;
@@ -210,20 +213,18 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
             err5 += q5 * q5;
             err3 += q3 * q3;
         }
-        err = combined_error(h, err5 / n, err3 / n);
+        err = combined_error(h, err5 / 4, err3 / 4);
         if (err <= 1.0) {
-            deriv(eta + h, ynew, k[0], n, c); /* first-same-as-last */
-            eta = last ? eta1 : eta + h;
-            for (i = 0; i < n; i++)
-                y[i] = ynew[i];
-            ++*accepted;
-            if (n == 8) {
-                double wr, wi, drift;
-                wronskian(y, &wr, &wi);
-                drift = hypot(wr - w0r, wi - w0i) / w0_abs;
+            deriv(eta + h, ynew, k[0], c); /* first-same-as-last */
+            if (max_drift != NULL) {
+                double drift = fabs(dirac_norm(eta + h, ynew, c) - n0) / n0;
                 if (drift > *max_drift)
                     *max_drift = drift;
             }
+            eta = last ? eta1 : eta + h;
+            for (i = 0; i < 4; i++)
+                y[i] = ynew[i];
+            ++*accepted;
             fac = err == 0.0 ? 5.0 : clamp(0.9 * pow(err, -0.125), 0.2, 5.0);
         } else if (isnan(err)) {
             /* No step size makes a NaN estimate pass; stop before h turns NaN. */
@@ -241,13 +242,13 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, int n,
 static char *kwlist[] = {"eps", "m_tilde", "k_tilde", "eta0", "eta1",
                          "y0", "rel_tol", "abs_tol", NULL};
 
-/* Shared body of both entry points: parse, integrate n components, return
- * (state tuple, [max drift,] accepted step count, status). */
-static PyObject *integrate(PyObject *args, PyObject *kw, int n, const char *fmt,
-                           const char *length_error)
+/* Shared body of both entry points: parse, integrate, return (state tuple,
+ * [max norm drift,] accepted step count, status). */
+static PyObject *integrate(PyObject *args, PyObject *kw, const char *fmt, const char *name,
+                           int with_drift)
 {
     Coeffs c;
-    double eta0, eta1, rtol, atol, y[8], max_drift, wr, wi;
+    double eta0, eta1, rtol, atol, y[4], max_drift;
     long accepted;
     int status, i;
     PyObject *y0, *seq;
@@ -259,12 +260,12 @@ static PyObject *integrate(PyObject *args, PyObject *kw, int n, const char *fmt,
     seq = PySequence_Tuple(y0);
     if (seq == NULL)
         return NULL;
-    if (PyTuple_GET_SIZE(seq) != n) {
+    if (PyTuple_GET_SIZE(seq) != 4) {
         Py_DECREF(seq);
-        PyErr_SetString(PyExc_ValueError, length_error);
+        PyErr_Format(PyExc_ValueError, "%s expects a 4-component state", name);
         return NULL;
     }
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < 4; i++) {
         y[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
         if (y[i] == -1.0 && PyErr_Occurred()) {
             Py_DECREF(seq);
@@ -272,33 +273,27 @@ static PyObject *integrate(PyObject *args, PyObject *kw, int n, const char *fmt,
         }
     }
     Py_DECREF(seq);
-    if (n == 8) {
-        wronskian(y, &wr, &wi);
-        if (hypot(wr, wi) == 0.0) {
-            PyErr_SetString(PyExc_ValueError,
-                            "initial Wronskian vanishes; solutions not independent");
-            return NULL;
-        }
+    if (with_drift && dirac_norm(eta0, y, &c) == 0.0) {
+        PyErr_SetString(PyExc_ValueError, "initial Dirac norm vanishes");
+        return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    status = advance(&c, eta0, eta1, y, n, rtol, atol, &max_drift, &accepted);
+    status = advance(&c, eta0, eta1, y, rtol, atol, with_drift ? &max_drift : NULL,
+                     &accepted);
     Py_END_ALLOW_THREADS
-    if (n == 4)
+    if (!with_drift)
         return Py_BuildValue("(dddd)li", y[0], y[1], y[2], y[3], accepted, status);
-    return Py_BuildValue("(dddddddd)dli", y[0], y[1], y[2], y[3], y[4], y[5],
-                         y[6], y[7], max_drift, accepted, status);
+    return Py_BuildValue("(dddd)dli", y[0], y[1], y[2], y[3], max_drift, accepted, status);
 }
 
 static PyObject *integrate_endpoint(PyObject *self, PyObject *args, PyObject *kw)
 {
-    return integrate(args, kw, 4, "dddddOdd:integrate_endpoint",
-                     "integrate_endpoint expects a 4-component state");
+    return integrate(args, kw, "dddddOdd:integrate_endpoint", "integrate_endpoint", 0);
 }
 
 static PyObject *integrate_pair_drift(PyObject *self, PyObject *args, PyObject *kw)
 {
-    return integrate(args, kw, 8, "dddddOdd:integrate_pair_drift",
-                     "integrate_pair_drift expects an 8-component state");
+    return integrate(args, kw, "dddddOdd:integrate_pair_drift", "integrate_pair_drift", 1);
 }
 
 #define SIGNATURE "(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)\n--\n\n"
@@ -312,10 +307,10 @@ static PyMethodDef methods[] = {
     {"integrate_pair_drift", (PyCFunction)(void (*)(void))integrate_pair_drift,
      METH_VARARGS | METH_KEYWORDS,
      "integrate_pair_drift" SIGNATURE
-     "Integrate two stacked solutions, tracking the Wronskian at every\n"
-     "accepted step.  y0 has 8 components.\n\n"
-     "Returns (endpoint state tuple, max relative Wronskian drift,\n"
-     "accepted step count, status)."},
+     "Integrate one solution, tracking its Dirac norm at every accepted\n"
+     "step.  y0 has 4 components.\n\n"
+     "Returns (endpoint state tuple, max relative norm drift, accepted step\n"
+     "count, status)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,17 +2,22 @@
 
 Reference implementation of the hot kernel; the compiled twin, written in C
 in `_mode_rk.c`, uses the same tableau, the same step controller and the same
-status codes, so either backend can serve the oracle.  State is a flat float
-vector holding one or two solutions as (re psi, im psi, re dpsi, im dpsi)
-blocks; stacked solutions advance through identical step sequences, which is
-what makes the Wronskian monitor meaningful.
+status codes, so either backend can serve the oracle.  The state is one
+solution as the flat float vector (re psi, im psi, re psi', im psi').
 
 The equation integrated is
 
-    psi'' + [k^2 + m^2 a(eta)^2 - i m a'(eta)] psi = 0,
+    psi'' + [k^2 + M^2 - i M'] psi = 0,   M = m a(eta),
     a(eta) = 1 + eps (1 + tanh eta),
 
-in units where the expansion rate is 1.
+in units where the expansion rate is 1.  It is the second-order form of the
+Dirac system i chi' = -H chi with H = [[M, k], [k, -M]] and
+chi = (psi, -(i psi' + M psi)/k).  H is Hermitian, so the Dirac norm
+
+    N = |psi|^2 + |psi' - i M psi|^2 / k^2
+
+is exactly conserved whatever a(eta) does, and its drift gauges the
+integrator on the one solution it advances.
 
 The method is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
 twelve stages, the first taken from the last step's endpoint (FSAL), an
@@ -21,20 +26,21 @@ twelve stages, the first taken from the last step's endpoint (FSAL), an
 15 times fewer steps than Dormand-Prince 5(4).
 
 Two steppers share the tableau.  `_advance`, over `_deriv`, is the generic
-reference for any number of stacked solutions; `integrate_endpoint` runs on
-it, and the tests compare against it.  `integrate_pair_drift`, the entry
-point the oracle calls, runs its own copy of that loop unrolled over the
-pair, with psi1, psi1', psi2 and psi2' in four complex locals.  A complex
-local halves the Python operations per stage against two float locals, and
-it is exact: CPython's complex product computes `_deriv`'s w*y0 - v*y1 and
-w*y1 + v*y0 term for term, and a float times a complex gives the same parts
-as two float products for finite values.  (Eight float locals run a step
-somewhat faster, but their longer code takes several times the memory to
-compile, which every process that integrates pays on import.)  The copy
-writes every sum in the order and grouping of `_advance`: floating-point sums
-are not associative, so a regrouped sum would move the last bits of an error
-estimate and from there the step sequence and every returned figure.  Written
-this way the two give equal results, bit for bit.
+reference; `integrate_endpoint` runs on it, and the tests compare against it.
+`integrate_pair_drift`, the entry point the oracle calls, runs its own copy of
+that loop unrolled, with psi and psi' in two complex locals, and tracks the
+norm at every accepted step.  A complex local halves the Python operations
+per stage against two float locals, and it is exact: CPython's complex
+product computes `_deriv`'s w*y0 - v*y1 and w*y1 + v*y0 term for term, and a
+float times a complex gives the same parts as two float products for finite
+values.  The copy writes every sum in the order and grouping of `_advance`:
+floating-point sums are not associative, so a regrouped sum would move the
+last bits of an error estimate and from there the step sequence and every
+returned figure.  Written this way the two give equal results, bit for bit.
+
+`integrate_pair_drift` keeps the name it had when it advanced the in-mode
+stacked with a partner solution, because `perfbench/` traces the kernel by
+that name.
 """
 
 from __future__ import annotations
@@ -163,13 +169,7 @@ def _deriv(eta, y, eps, m, k):
     a = 1.0 + eps * (1.0 + th)
     w = k * k + m * m * a * a
     v = -(m * eps) * (1.0 - th * th)
-    out = [0.0] * len(y)
-    for j in range(0, len(y), 4):
-        out[j] = y[j + 2]
-        out[j + 1] = y[j + 3]
-        out[j + 2] = -(w * y[j] - v * y[j + 1])
-        out[j + 3] = -(w * y[j + 1] + v * y[j])
-    return out
+    return [y[2], y[3], -(w * y[0] - v * y[1]), -(w * y[1] + v * y[0])]
 
 
 def _combine(terms, ks, i):
@@ -194,7 +194,11 @@ def _error(h, err5, err3):
 
 
 def _advance(eps, m, k, eta0, eta1, y, rtol, atol, monitor=None):
-    """Advance y from eta0 to eta1; returns (y, accepted, status)."""
+    """Advance y from eta0 to eta1; returns (y, accepted, status).
+
+    monitor(eta, y), if given, sees each accepted step's endpoint, with eta
+    the time at which its last stage was taken.
+    """
     n = len(y)
     rng = range(n)
     eta = eta0
@@ -227,11 +231,11 @@ def _advance(eps, m, k, eta0, eta1, y, rtol, atol, monitor=None):
         err = _error(h, err5 / n, err3 / n)
         if err <= 1.0:
             k0 = _deriv(eta + h, ynew, eps, m, k)  # first-same-as-last
+            if monitor is not None:
+                monitor(eta + h, ynew)
             eta = eta1 if last else eta + h
             y = ynew
             accepted += 1
-            if monitor is not None:
-                monitor(y)
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         elif math.isnan(err):
             # No step size makes a NaN estimate pass: stop, not spin to the budget.
@@ -242,53 +246,48 @@ def _advance(eps, m, k, eta0, eta1, y, rtol, atol, monitor=None):
     return y, accepted, STATUS_OK
 
 
+def _state(name, y0):
+    y = tuple(y0)
+    if len(y) != 4:
+        raise ValueError(f"{name} expects a 4-component state")
+    return y
+
+
 def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     """Integrate one solution; y0 has 4 components.
 
     Returns (endpoint state tuple, accepted step count, status).
     """
-    y = list(y0)
-    if len(y) != 4:
-        raise ValueError("integrate_endpoint expects a 4-component state")
+    y = list(_state("integrate_endpoint", y0))
     y, steps, status = _advance(eps, m_tilde, k_tilde, eta0, eta1, y, rel_tol, abs_tol)
     return tuple(y), steps, status
 
 
-def _wronskian(y):
-    # W = psi1 dpsi2 - psi2 dpsi1 for the stacked pair.
-    wr = (y[0] * y[6] - y[1] * y[7]) - (y[4] * y[2] - y[5] * y[3])
-    wi = (y[0] * y[7] + y[1] * y[6]) - (y[4] * y[3] + y[5] * y[2])
-    return wr, wi
-
-
 def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
-    """Integrate two stacked solutions, tracking the Wronskian at every
-    accepted step.  y0 has 8 components.
+    """Integrate one solution, tracking its Dirac norm at every accepted
+    step.  y0 has 4 components.
 
-    Returns (endpoint state tuple, max relative Wronskian drift,
-    accepted step count, status).
+    Returns (endpoint state tuple, max relative norm drift, accepted step
+    count, status).
     """
-    y = tuple(y0)
-    if len(y) != 8:
-        raise ValueError("integrate_pair_drift expects an 8-component state")
-    # p, d are psi1 and psi1'; q, e are psi2 and psi2'.  At stage s, ds and
-    # es are the stage's psi1' and psi2' (the derivatives of psi1 and psi2),
-    # fs and gs the derivatives of psi1' and psi2'; P and Q hold the stage's
-    # psi1 and psi2.  Stage 0 is (d, f0, e, g0).
+    y = _state("integrate_pair_drift", y0)
+    # p, d are psi and psi'.  At stage s, ds is the stage's psi' (the
+    # derivative of psi) and fs the derivative of psi'; P holds the stage's
+    # psi.  Stage 0 is (d, f0).  The norm is tracked as k^2 N, which drifts
+    # by the same relative amount and needs no division.
     p, d = complex(y[0], y[1]), complex(y[2], y[3])
-    q, e = complex(y[4], y[5]), complex(y[6], y[7])
-    w0 = p * e - q * d
-    w0_abs = math.hypot(w0.real, w0.imag)
-    if w0_abs == 0.0:
-        raise ValueError("initial Wronskian vanishes; solutions not independent")
-    worst = 0.0
     tanh = math.tanh
     kk, mm, v_amp = k_tilde * k_tilde, m_tilde * m_tilde, -(m_tilde * eps)
     th = tanh(eta0)
     a = 1.0 + eps * (1.0 + th)
+    mu = m_tilde * a
+    x, z = d.real + mu * p.imag, d.imag - mu * p.real
+    n0 = kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z)
+    if n0 == 0.0:
+        raise ValueError("initial Dirac norm vanishes")
+    worst = 0.0
     W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
     f0 = -(W * p)
-    g0 = -(W * q)
     eta = eta0
     h = min(_H_INIT, eta1 - eta0)
     accepted = 0
@@ -307,134 +306,87 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
             h = eta1 - eta
         P = p + h * (_A1_0 * d)
         d1 = d + h * (_A1_0 * f0)
-        Q = q + h * (_A1_0 * e)
-        e1 = e + h * (_A1_0 * g0)
         th = tanh(eta + _C1 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f1 = -(W * P)
-        g1 = -(W * Q)
         P = p + h * (_A2_0 * d + _A2_1 * d1)
         d2 = d + h * (_A2_0 * f0 + _A2_1 * f1)
-        Q = q + h * (_A2_0 * e + _A2_1 * e1)
-        e2 = e + h * (_A2_0 * g0 + _A2_1 * g1)
         th = tanh(eta + _C2 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f2 = -(W * P)
-        g2 = -(W * Q)
         P = p + h * (_A3_0 * d + _A3_2 * d2)
         d3 = d + h * (_A3_0 * f0 + _A3_2 * f2)
-        Q = q + h * (_A3_0 * e + _A3_2 * e2)
-        e3 = e + h * (_A3_0 * g0 + _A3_2 * g2)
         th = tanh(eta + _C3 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f3 = -(W * P)
-        g3 = -(W * Q)
         P = p + h * (_A4_0 * d + _A4_2 * d2 + _A4_3 * d3)
         d4 = d + h * (_A4_0 * f0 + _A4_2 * f2 + _A4_3 * f3)
-        Q = q + h * (_A4_0 * e + _A4_2 * e2 + _A4_3 * e3)
-        e4 = e + h * (_A4_0 * g0 + _A4_2 * g2 + _A4_3 * g3)
         th = tanh(eta + _C4 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f4 = -(W * P)
-        g4 = -(W * Q)
         P = p + h * (_A5_0 * d + _A5_3 * d3 + _A5_4 * d4)
         d5 = d + h * (_A5_0 * f0 + _A5_3 * f3 + _A5_4 * f4)
-        Q = q + h * (_A5_0 * e + _A5_3 * e3 + _A5_4 * e4)
-        e5 = e + h * (_A5_0 * g0 + _A5_3 * g3 + _A5_4 * g4)
         th = tanh(eta + _C5 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f5 = -(W * P)
-        g5 = -(W * Q)
         P = p + h * (_A6_0 * d + _A6_3 * d3 + _A6_4 * d4 + _A6_5 * d5)
         d6 = d + h * (_A6_0 * f0 + _A6_3 * f3 + _A6_4 * f4 + _A6_5 * f5)
-        Q = q + h * (_A6_0 * e + _A6_3 * e3 + _A6_4 * e4 + _A6_5 * e5)
-        e6 = e + h * (_A6_0 * g0 + _A6_3 * g3 + _A6_4 * g4 + _A6_5 * g5)
         th = tanh(eta + _C6 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f6 = -(W * P)
-        g6 = -(W * Q)
         P = p + h * (_A7_0 * d + _A7_3 * d3 + _A7_4 * d4 + _A7_5 * d5 + _A7_6 * d6)
         d7 = d + h * (_A7_0 * f0 + _A7_3 * f3 + _A7_4 * f4 + _A7_5 * f5 + _A7_6 * f6)
-        Q = q + h * (_A7_0 * e + _A7_3 * e3 + _A7_4 * e4 + _A7_5 * e5 + _A7_6 * e6)
-        e7 = e + h * (_A7_0 * g0 + _A7_3 * g3 + _A7_4 * g4 + _A7_5 * g5 + _A7_6 * g6)
         th = tanh(eta + _C7 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f7 = -(W * P)
-        g7 = -(W * Q)
         P = p + h * (_A8_0 * d + _A8_3 * d3 + _A8_4 * d4 + _A8_5 * d5 + _A8_6 * d6 + _A8_7 * d7)
         d8 = d + h * (_A8_0 * f0 + _A8_3 * f3 + _A8_4 * f4 + _A8_5 * f5 + _A8_6 * f6 + _A8_7 * f7)
-        Q = q + h * (_A8_0 * e + _A8_3 * e3 + _A8_4 * e4 + _A8_5 * e5 + _A8_6 * e6 + _A8_7 * e7)
-        e8 = e + h * (_A8_0 * g0 + _A8_3 * g3 + _A8_4 * g4 + _A8_5 * g5 + _A8_6 * g6 + _A8_7 * g7)
         th = tanh(eta + _C8 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f8 = -(W * P)
-        g8 = -(W * Q)
         P = p + h * (_A9_0 * d + _A9_3 * d3 + _A9_4 * d4 + _A9_5 * d5 + _A9_6 * d6 + _A9_7 * d7
                     + _A9_8 * d8)
         d9 = d + h * (_A9_0 * f0 + _A9_3 * f3 + _A9_4 * f4 + _A9_5 * f5 + _A9_6 * f6 + _A9_7 * f7
                      + _A9_8 * f8)
-        Q = q + h * (_A9_0 * e + _A9_3 * e3 + _A9_4 * e4 + _A9_5 * e5 + _A9_6 * e6 + _A9_7 * e7
-                    + _A9_8 * e8)
-        e9 = e + h * (_A9_0 * g0 + _A9_3 * g3 + _A9_4 * g4 + _A9_5 * g5 + _A9_6 * g6 + _A9_7 * g7
-                     + _A9_8 * g8)
         th = tanh(eta + _C9 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f9 = -(W * P)
-        g9 = -(W * Q)
         P = p + h * (_A10_0 * d + _A10_3 * d3 + _A10_4 * d4 + _A10_5 * d5 + _A10_6 * d6
                     + _A10_7 * d7 + _A10_8 * d8 + _A10_9 * d9)
         d10 = d + h * (_A10_0 * f0 + _A10_3 * f3 + _A10_4 * f4 + _A10_5 * f5 + _A10_6 * f6
                       + _A10_7 * f7 + _A10_8 * f8 + _A10_9 * f9)
-        Q = q + h * (_A10_0 * e + _A10_3 * e3 + _A10_4 * e4 + _A10_5 * e5 + _A10_6 * e6
-                    + _A10_7 * e7 + _A10_8 * e8 + _A10_9 * e9)
-        e10 = e + h * (_A10_0 * g0 + _A10_3 * g3 + _A10_4 * g4 + _A10_5 * g5 + _A10_6 * g6
-                      + _A10_7 * g7 + _A10_8 * g8 + _A10_9 * g9)
         th = tanh(eta + _C10 * h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f10 = -(W * P)
-        g10 = -(W * Q)
         P = p + h * (_A11_0 * d + _A11_3 * d3 + _A11_4 * d4 + _A11_5 * d5 + _A11_6 * d6
                     + _A11_7 * d7 + _A11_8 * d8 + _A11_9 * d9 + _A11_10 * d10)
         d11 = d + h * (_A11_0 * f0 + _A11_3 * f3 + _A11_4 * f4 + _A11_5 * f5 + _A11_6 * f6
                       + _A11_7 * f7 + _A11_8 * f8 + _A11_9 * f9 + _A11_10 * f10)
-        Q = q + h * (_A11_0 * e + _A11_3 * e3 + _A11_4 * e4 + _A11_5 * e5 + _A11_6 * e6
-                    + _A11_7 * e7 + _A11_8 * e8 + _A11_9 * e9 + _A11_10 * e10)
-        e11 = e + h * (_A11_0 * g0 + _A11_3 * g3 + _A11_4 * g4 + _A11_5 * g5 + _A11_6 * g6
-                      + _A11_7 * g7 + _A11_8 * g8 + _A11_9 * g9 + _A11_10 * g10)
         th = tanh(eta + h)
         a = 1.0 + eps * (1.0 + th)
         W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
         f11 = -(W * P)
-        g11 = -(W * Q)
         sd = (_B0 * d + _B5 * d5 + _B6 * d6 + _B7 * d7 + _B8 * d8 + _B9 * d9 + _B10 * d10
               + _B11 * d11)
         sf = (_B0 * f0 + _B5 * f5 + _B6 * f6 + _B7 * f7 + _B8 * f8 + _B9 * f9 + _B10 * f10
               + _B11 * f11)
-        se = (_B0 * e + _B5 * e5 + _B6 * e6 + _B7 * e7 + _B8 * e8 + _B9 * e9 + _B10 * e10
-              + _B11 * e11)
-        sg = (_B0 * g0 + _B5 * g5 + _B6 * g6 + _B7 * g7 + _B8 * g8 + _B9 * g9 + _B10 * g10
-              + _B11 * g11)
-        pn, dn, qn, en = p + h * sd, d + h * sf, q + h * se, e + h * sg
+        pn, dn = p + h * sd, d + h * sf
         err5 = err3 = 0.0
         for old, new, x5, x3 in (
             (p, pn, _E0 * d + _E5 * d5 + _E6 * d6 + _E7 * d7 + _E8 * d8 + _E9 * d9
              + _E10 * d10 + _E11 * d11, sd - _BHH0 * d - _BHH8 * d8 - _BHH11 * d11),
             (d, dn, _E0 * f0 + _E5 * f5 + _E6 * f6 + _E7 * f7 + _E8 * f8 + _E9 * f9
              + _E10 * f10 + _E11 * f11, sf - _BHH0 * f0 - _BHH8 * f8 - _BHH11 * f11),
-            (q, qn, _E0 * e + _E5 * e5 + _E6 * e6 + _E7 * e7 + _E8 * e8 + _E9 * e9
-             + _E10 * e10 + _E11 * e11, se - _BHH0 * e - _BHH8 * e8 - _BHH11 * e11),
-            (e, en, _E0 * g0 + _E5 * g5 + _E6 * g6 + _E7 * g7 + _E8 * g8 + _E9 * g9
-             + _E10 * g10 + _E11 * g11, sg - _BHH0 * g0 - _BHH8 * g8 - _BHH11 * g11),
         ):
             # Components in state order: the real part, then the imaginary.
             ay, an = abs(old.real), abs(new.real)
@@ -445,17 +397,17 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
             u5, u3 = x5.imag / sc, x3.imag / sc
             err5 = err5 + t5 * t5 + u5 * u5
             err3 = err3 + t3 * t3 + u3 * u3
-        err = _error(h, err5 / 8, err3 / 8)
+        err = _error(h, err5 / 4, err3 / 4)
         if err <= 1.0:
             # First-same-as-last: the new stage 0 is taken at eta + h, like
-            # stage 11, so W carries over.
+            # stage 11, so W and a carry over, and with a the norm's M.
             f0 = -(W * pn)
-            g0 = -(W * qn)
             eta = eta1 if last else eta + h
-            p, d, q, e = pn, dn, qn, en
+            p, d = pn, dn
             accepted += 1
-            dw = p * e - q * d - w0
-            drift = math.hypot(dw.real, dw.imag) / w0_abs
+            mu = m_tilde * a
+            x, z = d.real + mu * p.imag, d.imag - mu * p.real
+            drift = abs(kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z) - n0) / n0
             if drift > worst:
                 worst = drift
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
@@ -465,5 +417,4 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
         else:
             fac = max(0.2, min(1.0, 0.9 * err ** -0.125))
         h = min(h * fac, _H_MAX)
-    y = (p.real, p.imag, d.real, d.imag, q.real, q.imag, e.real, e.imag)
-    return y, worst, accepted, status
+    return (p.real, p.imag, d.real, d.imag), worst, accepted, status

@@ -28,9 +28,8 @@ FINITE_DIFFERENCE = "finite_difference"
 _PI = math.pi
 
 
-class BogoliubovPair(namedtuple(
-        "BogoliubovPair", ("log_abs_A", "log_abs_B", "phase_A", "phase_B"))):
-    """Log-magnitudes and phases of the mixing coefficients."""
+class BogoliubovPair(namedtuple("BogoliubovPair", ("log_abs_A", "log_abs_B"))):
+    """Log-magnitudes of the mixing coefficients."""
 
     __slots__ = ()
 
@@ -62,12 +61,7 @@ def coefficients(p: ModelParams) -> BogoliubovPair:
         - log_gamma(1.0 - 1j * f.zeta_pp) - log_gamma(-1j * f.zeta_pm)
     log_B = common + log_gamma(1j * f.omega_out) \
         - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
-    return BogoliubovPair(
-        log_abs_A=log_A.real + half_log_pref,
-        log_abs_B=log_B.real + half_log_pref,
-        phase_A=log_A.imag,
-        phase_B=log_B.imag,
-    )
+    return BogoliubovPair(log_A.real + half_log_pref, log_B.real + half_log_pref)
 
 
 def _exp_checked(log_value: float) -> float:

@@ -4,8 +4,9 @@ Everything downstream that multiplies Gamma and sinh factors works in log
 space: sinh(pi*zeta) overflows once zeta passes ~230 and zeta grows linearly
 in the expansion parameter, so magnitudes are carried as logarithms and signs
 are tracked explicitly by the callers.  The complex log-Gamma uses a Lanczos
-approximation with a single recurrence step near the imaginary axis and the
-reflection formula (with an overflow-safe log-sin) in the left half-plane.
+approximation with a single recurrence step near the imaginary axis; the
+Bogoliubov coefficients take it at real parts 0 and 1 only, so it rejects the
+left half-plane.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
 _LOG_TWO = math.log(2.0)
 
 
@@ -52,38 +52,29 @@ def _lanczos_log_gamma(z: complex) -> complex:
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
-def _log_sin_pi(z: complex) -> complex:
-    # log(sin(pi z)) without overflow, valid for Im z >= 0.
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}), and |e^{2 i pi z}| <= 1.
-    w = cmath.exp(2j * math.pi * z)
-    return complex(-_LOG_TWO, 0.5 * math.pi) - 1j * math.pi * z + cmath.log(1.0 - w)
-
-
 def log_gamma(z: complex) -> complex:
     """Logarithm of the Gamma function, continuous on the right half-plane.
 
-    Uses the Lanczos approximation for Re z >= 0.5, one recurrence step for
-    0 <= Re z < 0.5 (the imaginary-axis arguments of the Bogoliubov
-    coefficients land here) and reflection for Re z < 0.  Conjugate symmetry
-    maps the lower half-plane onto the upper one.
+    Uses the Lanczos approximation for Re z >= 0.5 and one recurrence step
+    for 0 <= Re z < 0.5 (the imaginary-axis arguments of the Bogoliubov
+    coefficients land here).  Conjugate symmetry maps the lower half-plane
+    onto the upper one.
 
     Raises
     ------
     PoleError
-        If z is zero or a negative integer on the real axis.
+        If z is the pole at zero or lies in the left half-plane Re z < 0,
+        which holds every other pole and which no caller reaches.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"log_gamma pole at z = {z.real}")
+    if z.real < 0.0 or z == 0.0:
+        raise PoleError(f"log_gamma supports Re z >= 0 except the pole at 0, got z = {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)
-    if z.real >= 0.0:
-        # log Gamma(z) = log Gamma(z + 1) - log z
-        return _lanczos_log_gamma(z + 1.0) - cmath.log(z)
-    # Reflection: log Gamma(z) = log(pi) - log sin(pi z) - log Gamma(1 - z)
-    return _LOG_PI - _log_sin_pi(z) - _lanczos_log_gamma(1.0 - z)
+    # log Gamma(z) = log Gamma(z + 1) - log z
+    return _lanczos_log_gamma(z + 1.0) - cmath.log(z)
 
 
 def log_sinh_abs(x: float) -> float:
@@ -95,23 +86,6 @@ def log_sinh_abs(x: float) -> float:
         raise PoleError("log_sinh_abs undefined at x = 0")
     ax = abs(x)
     return ax + math.log(-math.expm1(-2.0 * ax)) - _LOG_TWO
-
-
-def log_abs_gamma_sq_imag(y: float, shifted: bool = False) -> float:
-    """ln|Gamma(i y)|^2, or ln|Gamma(1 + i y)|^2 when ``shifted``.
-
-    Closed identities on the imaginary axis:
-
-        |Gamma(i y)|^2     = pi / (|y| sinh(pi |y|))
-        |Gamma(1 + i y)|^2 = pi |y| / sinh(pi |y|)
-
-    assembled in log space so large |y| cannot overflow.
-    """
-    if y == 0.0:
-        raise PoleError("log_abs_gamma_sq_imag undefined at y = 0")
-    ay = abs(y)
-    base = _LOG_PI - log_sinh_abs(math.pi * ay)
-    return base + math.log(ay) if shifted else base - math.log(ay)
 
 
 def coth(x: float) -> float:

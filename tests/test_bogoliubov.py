@@ -94,7 +94,7 @@ def test_coefficients_reject_massless():
 
 def test_coefficients_fields_finite():
     pair = coefficients(ModelParams(2.0, 0.3, 0.7))
-    for v in (pair.log_abs_A, pair.log_abs_B, pair.phase_A, pair.phase_B):
+    for v in pair:
         assert math.isfinite(v)
 
 

@@ -177,8 +177,8 @@ def kernel_calls(monkeypatch):
 
 
 def test_verify_integrates_each_oracle_point_once(kernel_calls):
-    # one stacked-pair integration, split at the checkpoint, serves both the
-    # ratio check and the drift check
+    # one in-mode integration, split at the checkpoint, serves both the
+    # oracle check and the drift check
     results = verify.run_all(2, 3)
     assert all(r.passed for r in results)
     assert kernel_calls["integrate_pair_drift"] == 6  # two legs times three points

@@ -38,11 +38,6 @@ def _omega_in(m, k):
     return math.hypot(m, k)
 
 
-def _pair(y):
-    # The in-mode stacked with its opposite-frequency partner, as the oracle does.
-    return y + (y[0], y[1], -y[2], -y[3])
-
-
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernel: the package's own build if there is one, else the
@@ -92,7 +87,7 @@ def test_backends_agree_on_endpoint(compiled):
 
 def test_backends_agree_on_drift(compiled):
     for eps, m, k in POINTS:
-        y0 = _pair(_ic(_omega_in(m, k), -SPAN))
+        y0 = _ic(_omega_in(m, k), -SPAN)
         _, dp, sp, stp = pure.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         _, dc, sc, stc = compiled.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         assert stp == stc == 0
@@ -130,8 +125,8 @@ def test_kernel_rejects_bad_state_length(kernel):
         kernel.integrate_endpoint(*args, (1.0, 0.0), RTOL, ATOL)
     with pytest.raises(ValueError, match="^integrate_endpoint expects a 4-component state$"):
         kernel.integrate_endpoint(*args, (1.0,) * 8, RTOL, ATOL)
-    with pytest.raises(ValueError, match="^integrate_pair_drift expects an 8-component state$"):
-        kernel.integrate_pair_drift(*args, (1.0,) * 4, RTOL, ATOL)
+    with pytest.raises(ValueError, match="^integrate_pair_drift expects a 4-component state$"):
+        kernel.integrate_pair_drift(*args, (1.0,) * 8, RTOL, ATOL)
 
 
 def test_kernel_rejects_non_sequence_state(kernel):
@@ -142,10 +137,11 @@ def test_kernel_rejects_non_sequence_state(kernel):
         kernel.integrate_pair_drift(*args, None, RTOL, ATOL)
 
 
-def test_kernel_rejects_dependent_pair(kernel):
-    y = _ic(_omega_in(1.0, 1.0), -SPAN)
-    with pytest.raises(ValueError, match="^initial Wronskian vanishes; solutions not independent$"):
-        kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, y + y, RTOL, ATOL)
+def test_kernel_rejects_zero_norm_state(kernel):
+    # The drift is relative to the initial norm, which vanishes only with psi
+    # and psi' both zero.
+    with pytest.raises(ValueError, match="^initial Dirac norm vanishes$"):
+        kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
 
 
 def test_kernel_reports_step_underflow(kernel):
@@ -153,8 +149,7 @@ def test_kernel_reports_step_underflow(kernel):
     y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
     _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
     assert status == kernel.STATUS_UNDERFLOW == pure.STATUS_UNDERFLOW
-    _, _, _, status = kernel.integrate_pair_drift(
-        1.0, 1.0, 1.0, -SPAN, SPAN, _pair(y0), 1e-30, 1e-300)
+    _, _, _, status = kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
     assert status == pure.STATUS_UNDERFLOW
 
 
@@ -163,8 +158,8 @@ def test_kernel_stops_on_nan_error_estimate(kernel):
     # stop, both twins spun until their 5 000 000-attempt budget ran out.
     y0 = _ic(1.0, -SPAN)
     y, drift, steps, status = kernel.integrate_pair_drift(
-        1.0, 1e160, 1.0, -SPAN, SPAN, _pair(y0), RTOL, ATOL)
-    assert (y, drift, steps, status) == (_pair(y0), 0.0, 0, pure.STATUS_NONFINITE)
+        1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
+    assert (y, drift, steps, status) == (y0, 0.0, 0, pure.STATUS_NONFINITE)
     y, steps, status = kernel.integrate_endpoint(1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
     assert (y, steps, status) == (y0, 0, pure.STATUS_NONFINITE)
 
@@ -177,7 +172,7 @@ def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
     args = (1.0, 1.0, 1.0, -SPAN, SPAN)
     _, steps, status = kernel.integrate_endpoint(*args, y0, 1e-300, 1e-300)
     assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
-    _, _, steps, status = kernel.integrate_pair_drift(*args, _pair(y0), 1e-300, 1e-300)
+    _, _, steps, status = kernel.integrate_pair_drift(*args, y0, 1e-300, 1e-300)
     assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
 
 
@@ -213,16 +208,20 @@ def test_pure_tableau_is_scipys_dop853():
 
 
 def _reference_pair_drift(eps, m, k, eta0, eta1, y0, rtol, atol):
-    """integrate_pair_drift on the generic stepper: `_advance` with a
-    Wronskian monitor."""
-    w0r, w0i = pure._wronskian(y0)
-    w0_abs = math.hypot(w0r, w0i)
+    """integrate_pair_drift on the generic stepper: `_advance` with a monitor
+    of k^2 times the Dirac norm |psi|^2 + |psi' - i M psi|^2 / k^2."""
+
+    def norm(eta, y):
+        mu = m * (1.0 + eps * (1.0 + math.tanh(eta)))
+        x, z = y[2] + mu * y[1], y[3] - mu * y[0]
+        return k * k * (y[0] * y[0] + y[1] * y[1]) + (x * x + z * z)
+
+    n0 = norm(eta0, y0)
     worst = 0.0
 
-    def monitor(state):
+    def monitor(eta, state):
         nonlocal worst
-        wr, wi = pure._wronskian(state)
-        worst = max(worst, math.hypot(wr - w0r, wi - w0i) / w0_abs)
+        worst = max(worst, abs(norm(eta, state) - n0) / n0)
 
     y, steps, status = pure._advance(eps, m, k, eta0, eta1, list(y0), rtol, atol, monitor)
     return tuple(y), worst, steps, status
@@ -230,7 +229,8 @@ def _reference_pair_drift(eps, m, k, eta0, eta1, y0, rtol, atol):
 
 def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch):
     # The unrolled stepper writes every expression in _advance's order, so
-    # its steps and returns must equal the reference's exactly.
+    # its steps and returns must equal the reference's exactly, and its state
+    # and steps those of integrate_endpoint, which runs on _advance.
     derivs = []
     real = pure._deriv
 
@@ -242,15 +242,18 @@ def test_pure_pair_stepper_is_bit_identical_to_reference(monkeypatch):
     rejected = 0
     for eps, m, k, rtol, atol in [(1.0, 1.0, 1.0, 1e-9, 1e-11), (0.5, 5.0, 2.0, 1e-8, 1e-10),
                                   (2.0, 0.3, 0.7, 1e-6, 1e-8)]:
-        y0 = _pair(_ic(_omega_in(m, k), -SPAN))
+        y0 = _ic(_omega_in(m, k), -SPAN)
         args = (eps, m, k, -SPAN, SPAN, y0, rtol, atol)
         derivs.clear()
         want = _reference_pair_drift(*args)
-        assert pure.integrate_pair_drift(*args) == want
+        got = pure.integrate_pair_drift(*args)
+        assert got == want
         assert want[3] == pure.STATUS_OK
+        assert want[1] > 0.0  # the monitor ran
         # _advance makes one _deriv call up front, eleven per attempt and
         # one more (the next step's first stage) per accepted step.
         rejected += (len(derivs) - 1 - want[2]) // 11 - want[2]
+        assert pure.integrate_endpoint(*args) == (got[0], got[2], got[3])
     assert rejected > 0
 
 

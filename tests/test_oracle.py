@@ -11,12 +11,16 @@ from cosmo_qfi import (
     ModelParams,
     WindowTooSmallError,
     _kernel,
+    bogoliubov,
+    excitation_weight,
     frequencies,
     integrate_mode,
     mixing_sq_sinh,
     oracle,
+    verify,
     wronskian_drift,
 )
+from cosmo_qfi._kernel import pure
 
 
 def _rel(a, b):
@@ -31,6 +35,7 @@ def test_ratio_matches_closed_form(point):
     p = ModelParams(*point)
     match = integrate_mode(p)
     assert _rel(match.ratio_sq, mixing_sq_sinh(p)) < 1e-4
+    assert _rel(match.X, excitation_weight(p).X) < 1e-4
     assert match.fit_residual < 1e-8
     assert abs(match.A_num) > abs(match.B_num)
 
@@ -93,16 +98,16 @@ def test_wronskian_drift_at_loose_tolerance(monkeypatch):
 @pytest.mark.parametrize("point", [(1.0, 1.0, 1.0), (0.5, 5.0, 2.0)])
 def test_combined_drift_is_a_tight_bound(point):
     # the two-leg figure is the public gauge, and it stays close to the drift
-    # one unbroken integration of the same pair across the window records
+    # one unbroken integration of the same in-mode across the window records
     p = ModelParams(*point)
-    drift = integrate_mode(p).wronskian_drift
+    drift = integrate_mode(p).norm_drift
     assert drift == wronskian_drift(p)
     w, eta0 = frequencies(p).omega_in, -oracle.ETA_SPAN
     psi = cmath.exp(-1j * w * eta0)
     dpsi = -1j * w * psi
-    pair = (psi.real, psi.imag, dpsi.real, dpsi.imag, psi.real, psi.imag, -dpsi.real, -dpsi.imag)
+    y0 = (psi.real, psi.imag, dpsi.real, dpsi.imag)
     _, full, _, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, eta0, oracle.ETA_SPAN, pair, oracle.REL_TOL, oracle.ABS_TOL
+        p.eps, p.m_tilde, p.k_tilde, eta0, oracle.ETA_SPAN, y0, oracle.REL_TOL, oracle.ABS_TOL
     )
     assert status == _kernel.STATUS_OK
     assert abs(drift - full) <= 0.05 * full
@@ -123,6 +128,35 @@ def test_integration_work_is_reported(monkeypatch):
     match = integrate_mode(ModelParams(0.5, 5.0, 2.0))
     assert len(legs) == 2
     assert match.steps == sum(legs) < 2000
+
+
+def test_oracle_row_catches_a_wrong_chi(monkeypatch):
+    # The oracle reads chi off its own endpoint spinor, so a spinor factor
+    # 0.1 % too large in the closed form shows in the X comparison.
+    real = bogoliubov.frequencies
+
+    def wrong_chi(p):
+        f = real(p)
+        return f._replace(chi_abs=f.chi_abs * 1.001)
+
+    matches = verify.oracle_matches(5)
+    assert verify.check_ode_oracle(matches).passed
+    monkeypatch.setattr(bogoliubov, "frequencies", wrong_chi)
+    row = verify.check_ode_oracle(matches)
+    assert not row.passed
+    assert row.worst > 1e-3
+
+
+def test_drift_row_catches_a_perturbed_tableau(monkeypatch):
+    # The norm is as sensitive a gauge as the pair Wronskian it replaced: one
+    # tableau coefficient of the pure stepper off by 1e-6 moves the drift
+    # at (1, 1, 1) to 8.2e-8, where the Wronskian read 8.1e-8.
+    monkeypatch.setattr(_kernel, "impl", pure)
+    monkeypatch.setattr(pure, "_A11_8", pure._A11_8 * (1.0 + 1e-6))
+    p = ModelParams(1.0, 1.0, 1.0)
+    row = verify.check_wronskian([(p, integrate_mode(p))])
+    assert row.worst > verify.DRIFT_TOL
+    assert not row.passed
 
 
 def test_window_too_small_raises():

@@ -30,13 +30,13 @@ FIXED = ModelParams(1.0, 1.0, 1.0)
 FIELDS = {
     FrequencySet: ("omega_in", "omega_out", "omega_plus", "omega_minus",
                    "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"),
-    BogoliubovPair: ("log_abs_A", "log_abs_B", "phase_A", "phase_B"),
+    BogoliubovPair: ("log_abs_A", "log_abs_B"),
     CreationFactor: ("mixing_sq", "X", "dX_deps", "derivative_method"),
     ProbeState: ("p0", "p1", "X", "dX"),
     EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
     SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
     OptimumResult: ("variable", "coordinate", "estimation", "boundary_warning"),
-    MatchResult: ("A_num", "B_num", "ratio_sq", "fit_residual", "wronskian_drift", "steps"),
+    MatchResult: ("A_num", "B_num", "ratio_sq", "X", "fit_residual", "norm_drift", "steps"),
     CheckResult: ("name", "worst", "tolerance", "points"),
 }
 

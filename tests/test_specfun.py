@@ -10,7 +10,6 @@ from cosmo_qfi import PoleError
 from cosmo_qfi.specfun import (
     coth,
     coth_minus_inv,
-    log_abs_gamma_sq_imag,
     log_gamma,
     log_sinh_abs,
     sinh_over_x,
@@ -37,13 +36,20 @@ def test_log_gamma_poles(z):
         log_gamma(z)
 
 
+@pytest.mark.parametrize("z", [-0.5, -1e-300 + 2j, -3.5 - 7j])
+def test_log_gamma_rejects_the_left_half_plane(z):
+    # The Bogoliubov coefficients take log_gamma at real parts 0 and 1 only.
+    with pytest.raises(PoleError, match="Re z >= 0"):
+        log_gamma(z)
+
+
 def test_log_gamma_against_mpmath_grid():
-    # exp(log_gamma) matches Gamma to 1e-12 relative for |z| <= 50,
-    # including imaginary-axis and reflected arguments.
+    # exp(log_gamma) matches Gamma to 1e-12 relative for |z| <= 50 on the
+    # supported half-plane Re z >= 0, imaginary-axis arguments included.
     rng = np.random.default_rng(7)
     pts = []
     for _ in range(300):
-        x = rng.uniform(-30.0, 30.0)
+        x = rng.uniform(0.0, 30.0)
         y = rng.uniform(-40.0, 40.0)
         if math.hypot(x, y) > 50.0 or (y == 0.0 and x <= 0.0):
             continue
@@ -67,30 +73,13 @@ def test_log_gamma_recurrence_property():
 
 
 def test_imaginary_axis_identity():
-    # 2 Re log_gamma(iy) = log_abs_gamma_sq_imag(y) to 1e-11 on [0.01, 40].
+    # 2 Re log_gamma(iy) = ln|Gamma(iy)|^2 = ln(pi / (y sinh(pi y))) to 1e-11
+    # on [0.01, 40].
     for y in np.linspace(0.01, 40.0, 400):
+        y = float(y)
         direct = 2.0 * log_gamma(1j * y).real
-        closed = log_abs_gamma_sq_imag(float(y), shifted=False)
+        closed = math.log(math.pi / (y * math.sinh(math.pi * y)))
         assert abs(direct - closed) <= 1e-11 * max(1.0, abs(closed))
-
-
-def test_gamma_sq_imag_shifted_examples():
-    expected = math.log(math.pi / math.sinh(math.pi))
-    assert math.isclose(log_abs_gamma_sq_imag(1.0, False), expected, rel_tol=1e-13)
-    # |Gamma(1+i)|^2 = |i|^2 |Gamma(i)|^2 by the recurrence, and |i| = 1
-    assert math.isclose(log_abs_gamma_sq_imag(1.0, True), expected, rel_tol=1e-13)
-
-
-def test_gamma_sq_imag_large_argument():
-    # log-domain expansion survives where sinh(10 pi) is near overflow scale
-    expected = math.log(math.pi) - math.log(10.0) - (10.0 * math.pi - math.log(2.0))
-    got = log_abs_gamma_sq_imag(10.0, False)
-    assert math.isclose(got, expected, rel_tol=1e-12)
-
-
-def test_gamma_sq_imag_rejects_zero():
-    with pytest.raises(PoleError):
-        log_abs_gamma_sq_imag(0.0)
 
 
 def test_log_sinh_abs_examples():
