@@ -43,7 +43,6 @@ from .errors import (
     CosmoQfiError,
     DegenerateParameterError,
     DerivativeStepError,
-    IdentityCheckError,
     IntegrationError,
     PoleError,
     SingularOutcomeError,
@@ -81,7 +80,6 @@ __all__ = [
     "EstimationResult",
     "FINITE_DIFFERENCE",
     "FrequencySet",
-    "IdentityCheckError",
     "IntegrationError",
     "MatchResult",
     "ModelParams",

@@ -21,10 +21,6 @@ class DerivativeStepError(CosmoQfiError, ValueError):
     """Finite-difference step is unusable at the requested expansion point."""
 
 
-class IdentityCheckError(CosmoQfiError, ArithmeticError):
-    """Two forms of the same closed-form quantity disagree beyond rounding."""
-
-
 class IntegrationError(CosmoQfiError, RuntimeError):
     """The adaptive integrator could not meet the requested tolerance."""
 

@@ -53,10 +53,11 @@ ABS_TOL = 1e-14
 
 
 class MatchResult(namedtuple("MatchResult", (
-        "A_num", "B_num", "ratio_sq", "X", "fit_residual", "norm_drift", "steps"))):
-    """Matched mixing coefficients and the quality of the plane-wave fit.
+        "ratio_sq", "X", "fit_residual", "norm_drift", "steps"))):
+    """Matched magnitude ratios and the quality of the plane-wave fit.
 
-    X is the excitation weight |beta/alpha|^2 read off the endpoint spinor.
+    ratio_sq is |B/A|^2 of the matched plane waves and X the excitation
+    weight |beta/alpha|^2 read off the endpoint spinor.
     fit_residual measures how well the matched superposition reproduces the
     integrated solution and its derivative one backoff interval before the
     endpoint, relative to |A|.  norm_drift bounds the relative drift of the
@@ -137,8 +138,6 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     residual = max(abs(psi_fit - psi_c), abs(dpsi_fit - dpsi_c) / w) / abs(a_coef)
 
     return MatchResult(
-        A_num=a_coef,
-        B_num=b_coef,
         ratio_sq=abs(b_coef / a_coef) ** 2,
         X=abs(beta / alpha) ** 2,
         fit_residual=residual,

@@ -98,7 +98,7 @@ def check_qfi_identity(grid: list[tuple[ModelParams, EstimationResult]]) -> Chec
     worst = 0.0
     for _, est in grid:
         X, dX = est.state.X, est.state.dX
-        # dX/X first, as in `qfi_eps`: dX*dX underflows where the QFI is normal.
+        # dX/X first: dX*dX underflows where the QFI is normal.
         simplified = 0.0 if X == 0.0 else dX / X * dX / (1.0 + X) ** 2
         worst = max(worst, _rel_diff(est.qfi, simplified))
     return CheckResult("qfi literal-vs-simplified", worst, IDENTITY_TOL, len(grid))

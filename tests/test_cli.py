@@ -93,11 +93,12 @@ def test_degenerate_evaluation_exits_three(capsys):
 
 
 def test_identity_check_failure_exits_three(capsys):
-    # X = 2.5e-311 is subnormal: the literal QFI form overflows to inf
+    # X = 2.5e-311 is subnormal: the literal QFI form overflows to inf; the
+    # typed error must not reach stdout
     code, out, err = run(capsys, "point", "--eps", "0.1", "--m", "82", "--k", "82")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: QFI forms disagree")
+    assert err.startswith("error: QFI is ")
 
 
 def test_subnormal_excitation_weight_exits_three(capsys):
@@ -105,7 +106,7 @@ def test_subnormal_excitation_weight_exits_three(capsys):
     code, out, err = run(capsys, "point", "--eps", "24091", "--m", "7.2e-5", "--k", "120")
     assert code == 3
     assert out == ""
-    assert err.startswith("error: QFI forms disagree")
+    assert err.startswith("error: QFI is ")
 
 
 def _reject_constant(name):

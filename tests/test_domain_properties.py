@@ -1,4 +1,5 @@
-"""Properties of the `point` path over the whole admitted domain.
+"""Properties of the `point`, `sweep` and `optimize` paths over the whole
+admitted domain.
 
 `eps`, `m_tilde` and `k_tilde` are drawn log-uniform over [1e-8, 1e6], with
 `m_tilde = 0` as its own case and a third of the draws near the ray
@@ -6,15 +7,20 @@ k = (1 + 2 eps) m, where the QFI approaches its supremum 1/(1 + 2 eps)^2 in
 the sudden limit (acceptance criterion 11).  Every point either raises a
 typed `CosmoQfiError` or yields finite, non-negative figures that respect
 that supremum; a derivative only 0.1 % too large breaks the last property
-near the ray.
+near the ray.  Sweeps and optimizations run over log-uniform boxes of the
+same domain: each sweep row is such a point or the documented NaN row, and
+an optimization returns such a point or raises a typed error.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cosmo_qfi import CosmoQfiError, ModelParams, qfi_eps, state_entropy
+from cosmo_qfi import (
+    DEFAULT_TRIALS, CosmoQfiError, ModelParams, SweepSpec, optimize, qfi_eps,
+    state_entropy, sweep,
+)
 
 LOG_RANGE = (math.log(1e-8), math.log(1e6))
 SUPREMUM_SLACK = 1e-12
@@ -43,3 +49,52 @@ def test_point_path_is_finite_or_typed_and_below_the_supremum(point):
     assert math.isfinite(entropy)
     assert (est.bound == math.inf) == (est.qfi == 0.0)
     assert (1.0 + 2.0 * eps) ** 2 * est.qfi <= 1.0 + SUPREMUM_SLACK
+
+
+# A swept or optimized coordinate over [lo, hi], with the other two fixed.
+boxes = st.tuples(
+    st.sampled_from(("eps", "m_tilde", "k_tilde")),
+    log_uniform, log_uniform,
+    st.tuples(log_uniform, log_uniform, log_uniform).map(lambda t: ModelParams(*t)),
+)
+
+
+def _assert_evaluated(eps, qfi, bound):
+    assert math.isfinite(qfi) and qfi >= 0.0
+    assert bound == (1.0 / (DEFAULT_TRIALS * qfi) if qfi > 0.0 else math.inf)
+    assert (1.0 + 2.0 * eps) ** 2 * qfi <= 1.0 + SUPREMUM_SLACK
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(boxes)
+def test_sweep_rows_are_finite_or_the_nan_row(box):
+    variable, a, b, fixed = box
+    assume(a != b)
+    rows = sweep(SweepSpec(variable, min(a, b), max(a, b), 5, fixed))
+    assert len(rows) == 5
+    for row in rows:
+        if math.isnan(row.qfi):
+            assert row.bound == math.inf
+            assert math.isnan(row.entropy) and math.isnan(row.p1)
+            continue
+        eps = row.value if variable == "eps" else fixed.eps
+        _assert_evaluated(eps, row.qfi, row.bound)
+        assert math.isfinite(row.entropy) and row.entropy >= 0.0
+        assert 0.0 <= row.p1 <= 1.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(boxes)
+def test_optimize_returns_a_finite_point_or_raises_typed(box):
+    variable, a, b, fixed = box
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    try:
+        opt = optimize(variable, lo, hi, fixed)
+    except CosmoQfiError:
+        return
+    assert lo <= opt.coordinate <= hi
+    est = opt.estimation
+    eps = opt.coordinate if variable == "eps" else fixed.eps
+    _assert_evaluated(eps, est.qfi, est.bound)
+    assert est.qfi > 0.0

@@ -265,7 +265,8 @@ def test_explicit_thread_count_is_honoured(monkeypatch):
 
 def test_sweep_nan_qfi_point_becomes_nan_row():
     # X is subnormal at eps = 24091 (m = 7.2e-5, k = 120): the literal QFI is
-    # NaN, which the identity check turns into a typed error and a NaN row
+    # NaN, which `qfi_eps` raises as DegenerateParameterError and the sweep
+    # turns into a NaN row
     fixed = ModelParams(1.0, 7.2e-5, 120.0)
     rows = sweep(SweepSpec("eps", 24091.0, 24092.0, 2, fixed))
     assert math.isnan(rows[0].qfi) and math.isinf(rows[0].bound)

@@ -37,7 +37,7 @@ def test_ratio_matches_closed_form(point):
     assert _rel(match.ratio_sq, mixing_sq_sinh(p)) < 1e-4
     assert _rel(match.X, excitation_weight(p).X) < 1e-4
     assert match.fit_residual < 1e-8
-    assert abs(match.A_num) > abs(match.B_num)
+    assert match.ratio_sq < 1
 
 
 def test_near_conformal_ratio_vanishes():

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from cosmo_qfi import (
     DEFAULT_TRIALS,
     CosmoQfiError,
-    IdentityCheckError,
+    DegenerateParameterError,
     ModelParams,
     OutcomeDistribution,
     ProbeState,
@@ -105,12 +106,24 @@ def test_qfi_collapses_at_large_eps():
 
 
 def test_qfi_identity_mismatch_raises_typed_error():
-    # X = 2.5e-311 is subnormal: the literal form overflows to inf while the
-    # simplified form is 3.5e-307
-    with pytest.raises(IdentityCheckError, match="literal=inf") as info:
+    # X = 2.5e-311 is subnormal: the literal form overflows to inf, although
+    # the simplified form would be 3.5e-307
+    with pytest.raises(DegenerateParameterError, match=r"QFI is inf at X=2\.48\d*e-311") as info:
         qfi_eps(ModelParams(0.1, 82.0, 82.0))
     assert isinstance(info.value, CosmoQfiError)
-    assert isinstance(info.value, ArithmeticError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_qfi_literal_form_covers_the_upper_subnormal_band():
+    # X = 1.11e-308 is subnormal, but (1+X)/X = 9e307 is still finite: the
+    # literal form returns the QFI the simplified form gives.  Deeper in the
+    # band, at X = 2.5e-311, it overflows (the test above).
+    est = qfi_eps(ModelParams(0.1, 81.3, 81.3))
+    X, dX = est.state.X, est.state.dX
+    assert 0.0 < X < sys.float_info.min
+    assert est.qfi == dX / X * dX / (1.0 + X) ** 2
+    assert math.isclose(est.qfi, 1.5595e-304, rel_tol=1e-4)
+    assert est.bound == 1.0 / (DEFAULT_TRIALS * est.qfi)
 
 
 @pytest.mark.parametrize("point", [(1.0, 1e-3, 67.69), (2.64e-6, 0.482, 69.6)])
@@ -128,17 +141,17 @@ def test_qfi_evaluates_where_dX_squared_underflows(point):
 
 def test_qfi_nan_literal_form_raises_typed_error():
     # X = 2e-323 is subnormal: (1+X)/X overflows and meets a zero derivative
-    with pytest.raises(IdentityCheckError, match="literal=nan"):
+    with pytest.raises(DegenerateParameterError, match="QFI is nan at X=2e-323"):
         qfi_eps(ModelParams(24091.0, 7.2e-5, 120.0))
 
 
 def test_qfi_overflowed_literal_form_raises_typed_error(monkeypatch):
-    # (1+X)/X = inf times dp1^2 = 1e-310 gives an infinite literal form while
-    # the simplified form is 1; inf <= 1e-10 * inf must not pass the check
+    # (1+X)/X = inf times dp1^2 = 1e-310 gives an infinite literal form,
+    # although the simplified form would be 1
     probe_module = importlib.import_module("cosmo_qfi.probe")
     state = ProbeState(p0=1.0, p1=1e-310, X=1e-310, dX=1e-155)
     monkeypatch.setattr(probe_module, "probe", lambda *args: state)
-    with pytest.raises(IdentityCheckError, match="literal=inf"):
+    with pytest.raises(DegenerateParameterError, match="QFI is inf at X=1e-310"):
         qfi_eps(ModelParams(1.0, 1.0, 1.0))
 
 

@@ -36,7 +36,7 @@ FIELDS = {
     EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
     SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
     OptimumResult: ("variable", "coordinate", "estimation", "boundary_warning"),
-    MatchResult: ("A_num", "B_num", "ratio_sq", "X", "fit_residual", "norm_drift", "steps"),
+    MatchResult: ("ratio_sq", "X", "fit_residual", "norm_drift", "steps"),
     CheckResult: ("name", "worst", "tolerance", "points"),
 }
 
