@@ -9,7 +9,9 @@ must agree (the verification suite enforces this):
   sign tracking and a series fill at the removable zero of zeta_mm.
 
 The excitation weight X = |B/A|^2 * chi_abs^2 is what the reduced probe state
-sees; its derivative in the expansion parameter ships in two independent
+sees.  `_weight` is its only statement, on the sinh route; at m_tilde = 0 it
+takes the generic path, where zeta_mp = 0 gives the exact zero.  Its
+derivative in the expansion parameter ships in two independent
 implementations (exact chain rule and Richardson finite differences).
 """
 
@@ -34,13 +36,9 @@ class BogoliubovPair(namedtuple("BogoliubovPair", ("log_abs_A", "log_abs_B"))):
     __slots__ = ()
 
 
-class CreationFactor(namedtuple(
-        "CreationFactor", ("mixing_sq", "X", "dX_deps", "derivative_method"))):
-    """Particle-creation strength and probe excitation weight at one point.
-
-    mixing_sq is |B/A|^2, X = mixing_sq * chi_abs^2 and
-    dX_deps its derivative in the expansion parameter, computed by the method
-    named in derivative_method.
+class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
+    """Probe excitation weight X = |B/A|^2 * chi_abs^2 at one point and
+    dX_deps, its derivative in the expansion parameter.
     """
 
     __slots__ = ()
@@ -111,19 +109,14 @@ def _mixing_sq_sinh(f: FrequencySet) -> float:
 def mixing_sq_sinh(p: ModelParams) -> float:
     """|B/A|^2 via the stable sinh closed form.
 
-    Returns exactly 0 for m_tilde = 0.  Continuous through zeta_mm = 0, where
-    the 1/zeta_mm prefactor cancels the sinh zero.
+    Returns exactly 0 for m_tilde = 0, where zeta_mp = 0.  Continuous through
+    zeta_mm = 0, where the 1/zeta_mm prefactor cancels the sinh zero.
     """
-    if p.m_tilde == 0.0:
-        return 0.0
     return _mixing_sq_sinh(frequencies(p))
 
 
-def _weight(p: ModelParams) -> float:
+def _weight(f: FrequencySet) -> float:
     # X = |B/A|^2 * chi_abs^2 without the derivative machinery.
-    if p.m_tilde == 0.0:
-        return 0.0
-    f = frequencies(p)
     return _mixing_sq_sinh(f) * f.chi_abs * f.chi_abs
 
 
@@ -132,12 +125,10 @@ def dX_deps_analytic(p: ModelParams) -> float:
 
     Differentiates ln X through every zeta and through chi; the zeta_mm group
     uses coth(x) - 1/x, which is analytic through the removable zero.
-    Requires m_tilde > 0 and X > 0.
+    Requires X > 0, so m_tilde > 0.
     """
-    if p.m_tilde == 0.0:
-        raise DegenerateParameterError("dX_deps_analytic requires m_tilde > 0")
     f = frequencies(p)
-    X = _mixing_sq_sinh(f) * f.chi_abs * f.chi_abs
+    X = _weight(f)
     if X == 0.0:
         raise DegenerateParameterError("dX_deps_analytic requires X > 0")
     m = p.m_tilde
@@ -155,26 +146,22 @@ def dX_deps_analytic(p: ModelParams) -> float:
     return X * (dlog_mix + dlog_chi_sq)
 
 
-def default_fd_step(eps: float) -> float:
-    """Default central-difference step: 1e-5 * max(eps, 1)."""
-    return 1e-5 * max(eps, 1.0)
-
-
 def dX_deps_fd(p: ModelParams, h: float | None = None) -> float:
     """Richardson-extrapolated central difference of the excitation weight.
 
-    One halving of the step h: returns (4 D(h/2) - D(h))/3 with
-    D(s) = (X(eps+s) - X(eps-s))/(2 s).  Deterministic for fixed inputs.
+    One halving of the step h, by default 1e-5 * max(eps, 1): returns
+    (4 D(h/2) - D(h))/3 with D(s) = (X(eps+s) - X(eps-s))/(2 s).
+    Deterministic for fixed inputs.
     """
     if h is None:
-        h = default_fd_step(p.eps)
+        h = 1e-5 * max(p.eps, 1.0)
     if h < 1e-12 * p.eps:
         raise DerivativeStepError(f"fd step {h} underflows at eps = {p.eps}")
     if p.eps - 2.0 * h <= 0.0:
         raise DerivativeStepError(f"fd step {h} too large at eps = {p.eps}")
 
     def X_at(e: float) -> float:
-        return _weight(ModelParams(eps=e, m_tilde=p.m_tilde, k_tilde=p.k_tilde))
+        return _weight(frequencies(ModelParams(e, p.m_tilde, p.k_tilde)))
 
     d_full = (X_at(p.eps + h) - X_at(p.eps - h)) / (2.0 * h)
     d_half = (X_at(p.eps + 0.5 * h) - X_at(p.eps - 0.5 * h)) / h
@@ -184,21 +171,17 @@ def dX_deps_fd(p: ModelParams, h: float | None = None) -> float:
 def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationFactor:
     """Excitation weight X = |B/A|^2 * chi_abs^2 and its eps-derivative.
 
-    m_tilde = 0 yields an exact zero weight with zero derivative.  Where the
-    weight underflows to zero the derivative underflows with it and is
-    reported as zero rather than raising.
+    Where the weight is zero (m_tilde = 0) or underflows to zero, the
+    derivative vanishes or underflows with it and is reported as zero rather
+    than raising.
     """
     if deriv_method not in (ANALYTIC, FINITE_DIFFERENCE):
         raise ValueError(f"unknown derivative method {deriv_method!r}")
-    if p.m_tilde == 0.0:
-        return CreationFactor(0.0, 0.0, 0.0, deriv_method)
-    f = frequencies(p)
-    mixing = _mixing_sq_sinh(f)
-    X = mixing * f.chi_abs * f.chi_abs
+    X = _weight(frequencies(p))
     if X == 0.0:
         dX = 0.0
     elif deriv_method == ANALYTIC:
         dX = dX_deps_analytic(p)
     else:
         dX = dX_deps_fd(p)
-    return CreationFactor(mixing, X, dX, deriv_method)
+    return CreationFactor(X, dX)

@@ -46,13 +46,16 @@ class ModelParams(namedtuple("ModelParams", ("eps", "m_tilde", "k_tilde"))):
 
 
 class FrequencySet(namedtuple("FrequencySet", (
-        "omega_in", "omega_out", "omega_plus", "omega_minus",
-        "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"))):
+        "omega_in", "omega_out", "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm",
+        "mu_out", "chi_abs"))):
     """Asymptotic frequencies and the sinh/Gamma argument combinations.
 
-    zeta_pp, zeta_pm, zeta_mp, zeta_mm are omega_plus + m*eps,
-    omega_plus - m*eps, omega_minus + m*eps and omega_minus - m*eps; the first
-    three are strictly positive for m_tilde > 0 while zeta_mm may cross zero.
+    With omega_plus = (omega_out + omega_in)/2 and omega_minus =
+    (omega_out - omega_in)/2, zeta_pp, zeta_pm, zeta_mp, zeta_mm are
+    omega_plus + m*eps, omega_plus - m*eps, omega_minus + m*eps and
+    omega_minus - m*eps.  The first three are strictly positive for
+    m_tilde > 0 while zeta_mm may cross zero; at m_tilde = 0, zeta_mp and
+    zeta_mm are exactly 0.
     """
 
     __slots__ = ()
@@ -74,9 +77,7 @@ def frequencies(p: ModelParams) -> FrequencySet:
 
     chi_abs is the magnitude of the spinor-structure factor
     (omega_out - mu_out)/k_tilde, evaluated in the cancellation-free form
-    k_tilde/(omega_out + mu_out).  By convention it is exactly zero for
-    m_tilde = 0, where no particles are created and the probe weight
-    vanishes identically.
+    k_tilde/(omega_out + mu_out); it is 1 at m_tilde = 0.
     """
     m, k, eps = p.m_tilde, p.k_tilde, p.eps
     mu_out = m * (1.0 + 2.0 * eps)
@@ -89,12 +90,11 @@ def frequencies(p: ModelParams) -> FrequencySet:
     omega_plus = 0.5 * (omega_out + omega_in)
     omega_minus = 0.5 * (omega_out - omega_in)
     me = m * eps
-    chi_abs = 0.0 if m == 0.0 else k / (omega_out + mu_out)
     # Positional: keyword binding would double the cost of building the record.
     return FrequencySet(
-        omega_in, omega_out, omega_plus, omega_minus,
+        omega_in, omega_out,
         omega_plus + me, omega_plus - me, omega_minus + me, omega_minus - me,
-        mu_out, chi_abs,
+        mu_out, k / (omega_out + mu_out),
     )
 
 

@@ -22,6 +22,7 @@ from cosmo_qfi import (
     excitation_weight,
     frequencies,
     mixing_sq_sinh,
+    qfi_eps,
     ratio_sq,
 )
 
@@ -146,12 +147,13 @@ def test_continuity_across_series_threshold():
 
 
 def test_excitation_weight_unit_point():
-    cf = excitation_weight(ModelParams(1.0, 1.0, 1.0))
+    p = ModelParams(1.0, 1.0, 1.0)
+    cf = excitation_weight(p)
+    mixing = mixing_sq_sinh(p)
     assert math.isclose(cf.X, FROZEN_X_UNIT, rel_tol=1e-12)
-    assert math.isclose(cf.mixing_sq, FROZEN_MIXING[(1.0, 1.0, 1.0)], rel_tol=1e-12)
+    assert math.isclose(mixing, FROZEN_MIXING[(1.0, 1.0, 1.0)], rel_tol=1e-12)
     assert math.isclose(cf.dX_deps, FROZEN_DX_UNIT, rel_tol=1e-11)
-    f = frequencies(ModelParams(1.0, 1.0, 1.0))
-    assert math.isclose(cf.X, cf.mixing_sq * f.chi_abs**2, rel_tol=1e-14)
+    assert math.isclose(cf.X, mixing * frequencies(p).chi_abs**2, rel_tol=1e-14)
 
 
 def test_excitation_weight_massless_and_heavy_momentum():
@@ -183,7 +185,7 @@ def test_analytic_derivative_large_eps_flattens():
 
 
 def test_analytic_derivative_rejects_degenerate():
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(DegenerateParameterError, match="requires X > 0"):
         dX_deps_analytic(ModelParams(1.0, 0.0, 1.0))
 
 
@@ -214,8 +216,8 @@ def test_excitation_weight_method_flag():
     p = ModelParams(1.0, 1.0, 1.0)
     ana = excitation_weight(p, "analytic")
     fd = excitation_weight(p, "finite_difference")
-    assert ana.derivative_method == "analytic"
-    assert fd.derivative_method == "finite_difference"
+    for method in ("analytic", "finite_difference"):
+        assert qfi_eps(p, deriv_method=method).derivative_method == method
     assert math.isclose(ana.dX_deps, fd.dX_deps, rel_tol=1e-6)
     with pytest.raises(ValueError):
         excitation_weight(p, "symbolic")

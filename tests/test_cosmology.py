@@ -24,28 +24,33 @@ def test_frequencies_unit_point():
     f = frequencies(ModelParams(1.0, 1.0, 1.0))
     assert math.isclose(f.omega_in, math.sqrt(2.0), rel_tol=1e-15)
     assert math.isclose(f.omega_out, math.sqrt(10.0), rel_tol=1e-15)
-    assert math.isclose(f.omega_plus, 0.5 * (math.sqrt(10.0) + math.sqrt(2.0)), rel_tol=1e-15)
-    assert math.isclose(f.omega_minus, 0.5 * (math.sqrt(10.0) - math.sqrt(2.0)), rel_tol=1e-15)
     assert f.mu_out == 3.0
     # chi = (sqrt(10) - 3)/1, evaluated in its stable form
     assert math.isclose(f.chi_abs, math.sqrt(10.0) - 3.0, rel_tol=1e-13)
-    assert math.isclose(f.zeta_pp, f.omega_plus + 1.0, rel_tol=1e-15)
-    assert math.isclose(f.zeta_mm, f.omega_minus - 1.0, rel_tol=1e-12)
+    omega_plus = 0.5 * (math.sqrt(10.0) + math.sqrt(2.0))
+    omega_minus = 0.5 * (math.sqrt(10.0) - math.sqrt(2.0))
+    assert math.isclose(f.zeta_pp, omega_plus + 1.0, rel_tol=1e-15)
+    assert math.isclose(f.zeta_pm, omega_plus - 1.0, rel_tol=1e-14)
+    assert math.isclose(f.zeta_mp, omega_minus + 1.0, rel_tol=1e-15)
+    assert math.isclose(f.zeta_mm, omega_minus - 1.0, rel_tol=1e-12)
 
 
 def test_frequencies_massless_collapse():
     f = frequencies(ModelParams(3.0, 0.0, 2.0))
     assert f.omega_in == f.omega_out == 2.0
-    assert f.omega_minus == 0.0
-    assert f.chi_abs == 0.0
+    assert f.chi_abs == 1.0
     assert f.mu_out == 0.0
+    assert f.zeta_pp == f.zeta_pm == 2.0
     assert f.zeta_mm == f.zeta_mp == 0.0
 
 
 def test_frequencies_no_expansion_limit():
     f = frequencies(ModelParams(1e-12, 1.0, 1.0))
     assert math.isclose(f.omega_out, f.omega_in, rel_tol=1e-11)
-    assert f.omega_minus < 1e-11
+    assert math.isclose(f.zeta_pp, f.omega_in, rel_tol=1e-11)
+    assert math.isclose(f.zeta_pm, f.omega_in, rel_tol=1e-11)
+    assert 0.0 < f.zeta_mp < 1e-11
+    assert -1e-11 < f.zeta_mm < 0.0
 
 
 def test_params_validation():

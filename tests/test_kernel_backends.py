@@ -176,6 +176,18 @@ def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
     assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
 
 
+def test_pure_kernel_reports_an_exhausted_step_budget(monkeypatch):
+    # The C twin's budget is fixed at compile time, so only the pure one is
+    # run out here; at (1, 1, 1) its first 10 attempts are all accepted.
+    monkeypatch.setattr(pure, "_MAX_STEPS", 10)
+    y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
+    args = (1.0, 1.0, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
+    _, steps, status = pure.integrate_endpoint(*args)
+    assert (steps, status) == (10, pure.STATUS_MAX_STEPS)
+    _, _, steps, status = pure.integrate_pair_drift(*args)
+    assert (steps, status) == (10, pure.STATUS_MAX_STEPS)
+
+
 def test_kernel_accepts_zero_error_estimate(kernel):
     # The zero solution has a zero error estimate, which 0 / 0 would make NaN.
     y, steps, status = kernel.integrate_endpoint(
@@ -269,7 +281,8 @@ def test_compiled_kernel_exposes_the_pure_contract(compiled):
 
 def test_env_var_forces_pure_backend():
     code = "import cosmo_qfi; print(cosmo_qfi.kernel_backend)"
-    env = dict(os.environ, COSMO_QFI_PURE="1")
+    src = str(Path(pure.__file__).resolve().parents[2])
+    env = dict(os.environ, COSMO_QFI_PURE="1", PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

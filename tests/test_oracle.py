@@ -175,3 +175,10 @@ def test_overflowing_mass_raises_integration_error():
     # m^2 overflows, so the first error estimate is NaN.
     with pytest.raises(IntegrationError, match="non-finite error estimate"):
         integrate_mode(ModelParams(1.0, 1e160, 1.0))
+
+
+def test_exhausted_step_budget_raises_integration_error(monkeypatch):
+    monkeypatch.setattr(pure, "_MAX_STEPS", 10)
+    monkeypatch.setattr(_kernel, "impl", pure)
+    with pytest.raises(IntegrationError, match="^step budget exhausted at "):
+        integrate_mode(ModelParams(1.0, 1.0, 1.0))

@@ -28,10 +28,10 @@ FIXED = ModelParams(1.0, 1.0, 1.0)
 
 # Field order of each record, as its positional constructor reads it.
 FIELDS = {
-    FrequencySet: ("omega_in", "omega_out", "omega_plus", "omega_minus",
-                   "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm", "mu_out", "chi_abs"),
+    FrequencySet: ("omega_in", "omega_out", "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm",
+                   "mu_out", "chi_abs"),
     BogoliubovPair: ("log_abs_A", "log_abs_B"),
-    CreationFactor: ("mixing_sq", "X", "dX_deps", "derivative_method"),
+    CreationFactor: ("X", "dX_deps"),
     ProbeState: ("p0", "p1", "X", "dX"),
     EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
     SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
