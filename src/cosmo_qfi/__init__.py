@@ -45,7 +45,6 @@ from .errors import (
     DerivativeStepError,
     IntegrationError,
     PoleError,
-    SingularOutcomeError,
     WindowTooSmallError,
 )
 from .probe import (
@@ -61,8 +60,7 @@ from .probe import (
 _LAZY = {
     **dict.fromkeys(
         ("MatchResult", "integrate_mode", "wronskian_drift"), "oracle"),
-    **dict.fromkeys(
-        ("OutcomeDistribution", "classical_fisher"), "qfi"),
+    "classical_fisher": "qfi",
     **dict.fromkeys(
         ("OptimumResult", "SweepRow", "SweepSpec", "optimize", "sweep"), "sweeps"),
 }
@@ -84,10 +82,8 @@ __all__ = [
     "MatchResult",
     "ModelParams",
     "OptimumResult",
-    "OutcomeDistribution",
     "PoleError",
     "ProbeState",
-    "SingularOutcomeError",
     "SweepRow",
     "SweepSpec",
     "WindowTooSmallError",

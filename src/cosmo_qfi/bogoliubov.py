@@ -146,17 +146,14 @@ def dX_deps_analytic(p: ModelParams) -> float:
     return X * (dlog_mix + dlog_chi_sq)
 
 
-def dX_deps_fd(p: ModelParams, h: float | None = None) -> float:
+def dX_deps_fd(p: ModelParams) -> float:
     """Richardson-extrapolated central difference of the excitation weight.
 
-    One halving of the step h, by default 1e-5 * max(eps, 1): returns
-    (4 D(h/2) - D(h))/3 with D(s) = (X(eps+s) - X(eps-s))/(2 s).
-    Deterministic for fixed inputs.
+    One halving of the fixed step h = 1e-5 * max(eps, 1): returns
+    (4 D(h/2) - D(h))/3 with D(s) = (X(eps+s) - X(eps-s))/(2 s).  Raises
+    DerivativeStepError at eps <= 2h, that is eps <= 2e-5.
     """
-    if h is None:
-        h = 1e-5 * max(p.eps, 1.0)
-    if h < 1e-12 * p.eps:
-        raise DerivativeStepError(f"fd step {h} underflows at eps = {p.eps}")
+    h = 1e-5 * max(p.eps, 1.0)
     if p.eps - 2.0 * h <= 0.0:
         raise DerivativeStepError(f"fd step {h} too large at eps = {p.eps}")
 

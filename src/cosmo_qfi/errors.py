@@ -13,10 +13,6 @@ class DegenerateParameterError(CosmoQfiError, ValueError):
     """Model parameters hit a configuration the closed forms cannot evaluate."""
 
 
-class SingularOutcomeError(CosmoQfiError, ValueError):
-    """A zero-probability outcome carries a nonzero probability derivative."""
-
-
 class DerivativeStepError(CosmoQfiError, ValueError):
     """Finite-difference step is unusable at the requested expansion point."""
 

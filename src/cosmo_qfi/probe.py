@@ -67,7 +67,8 @@ def qfi_eps(
         (1+X) (d p0)^2 + ((1+X)/X) (d p1)^2,  d p1 = -d p0 = dX / (1+X)^2.
 
     A non-finite result (at subnormal X, (1+X)/X overflows) raises
-    DegenerateParameterError naming X.  X = 0 returns zero information by
+    DegenerateParameterError naming X, and so does a positive QFI too small
+    for 1/(trials * qfi) to be finite.  X = 0 returns zero information by
     convention (the derivative vanishes at least as fast as sqrt(X) there).
     """
     if not (math.isfinite(trials) and trials >= 1):
@@ -85,4 +86,8 @@ def qfi_eps(
                 "small for the two-outcome form"
             )
     bnd = 1.0 / (trials * qfi) if qfi > 0.0 else math.inf
+    if bnd == math.inf and qfi > 0.0:
+        raise DegenerateParameterError(
+            f"bound 1/(trials*qfi) overflows at qfi={qfi!r}, trials={trials!r}"
+        )
     return EstimationResult(qfi, st, bnd, trials, deriv_method)

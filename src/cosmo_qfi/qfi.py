@@ -1,63 +1,26 @@
-"""Classical Fisher information of a discrete outcome family.
+"""Classical Fisher information of the eigenprojector measurement.
 
 `verify` measures the probe in its eigenbasis and compares the classical
-Fisher information of that outcome distribution with the quantum Fisher
-information `qfi_eps` reports: equality is the paper's claim that the
-eigenprojector measurement is optimal.  Outcomes with p = 0 and dp = 0
-contribute nothing (0/0 terms are dropped).
+Fisher information of the two outcomes with the quantum Fisher information
+`qfi_eps` reports: equality is the paper's claim that the eigenprojector
+measurement is optimal.
 """
 
 from __future__ import annotations
 
-import math
-from collections import namedtuple
-
-from .errors import SingularOutcomeError
-
-_PROB_SUM_TOL = 1e-12
-_DPROB_SUM_TOL = 1e-10
+from .probe import ProbeState
 
 
-class OutcomeDistribution(namedtuple("OutcomeDistribution", ("probs", "dprobs"))):
-    """Outcome probabilities and their parameter derivatives."""
+def classical_fisher(state: ProbeState) -> float:
+    """Sum of dp^2/p over the outcomes p0, p1 of the probe's eigenbasis.
 
-    __slots__ = ()
-
-    def __new__(cls, probs: tuple[float, ...], dprobs: tuple[float, ...]):
-        probs = tuple(float(x) for x in probs)
-        dprobs = tuple(float(x) for x in dprobs)
-        if len(probs) != len(dprobs):
-            raise ValueError("probs and dprobs must have equal length")
-        if not probs:
-            raise ValueError("empty distribution")
-        for x in probs:
-            if not (0.0 <= x <= 1.0) or not math.isfinite(x):
-                raise ValueError(f"probability {x} outside [0, 1]")
-        if abs(math.fsum(probs) - 1.0) > _PROB_SUM_TOL:
-            raise ValueError("probabilities do not sum to 1")
-        if abs(math.fsum(dprobs)) > _DPROB_SUM_TOL:
-            raise ValueError("probability derivatives do not sum to 0")
-        return tuple.__new__(cls, (probs, dprobs))
-
-    @classmethod
-    def _make(cls, iterable):
-        # Through the constructor, so `_replace` validates too.
-        return cls(*iterable)
-
-
-def classical_fisher(d: OutcomeDistribution) -> float:
-    """Sum of dp^2/p over outcomes with p > 0.
-
-    Outcomes with p = 0 and dp = 0 contribute nothing; p = 0 with dp != 0 is
-    a singular outcome and raises.
+    dp1 = -dp0 = dX/(1+X)^2.  An outcome with p = 0 contributes nothing: it
+    occurs only at X = 0, where `probe` reports dX = 0.
     """
+    dp = state.dX / (1.0 + state.X) ** 2
     total = 0.0
-    for prob, dprob in zip(d.probs, d.dprobs):
+    for prob in (state.p0, state.p1):
         if prob > 0.0:
             # dp/p first: dp*dp underflows to zero where the information is normal.
-            total += dprob / prob * dprob
-        elif dprob != 0.0:
-            raise SingularOutcomeError(
-                f"outcome with zero probability has derivative {dprob}"
-            )
+            total += dp / prob * dp
     return total

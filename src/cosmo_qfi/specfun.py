@@ -89,11 +89,9 @@ def log_sinh_abs(x: float) -> float:
 
 
 def coth(x: float) -> float:
-    """cosh x / sinh x, saturating to +-1 for |x| > 20."""
+    """cosh x / sinh x; exactly +-1 from |x| = 19.1 on, where tanh rounds to +-1."""
     if x == 0.0:
         raise PoleError("coth undefined at x = 0")
-    if abs(x) > 20.0:
-        return math.copysign(1.0, x)
     return 1.0 / math.tanh(x)
 
 

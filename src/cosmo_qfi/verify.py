@@ -4,8 +4,8 @@ Each check compares two independent computations of the same quantity:
 
 * Gamma route versus sinh closed form for the mixing ratio;
 * literal two-outcome QFI versus its simplified algebraic form;
-* classical Fisher information of the eigenprojector measurement versus the
-  QFI `qfi_eps` reports for the same point;
+* classical Fisher information of the eigenprojector measurement on the
+  probe state `qfi_eps` returns versus the QFI it reports with that state;
 * exact chain-rule derivative of the excitation weight versus Richardson
   finite differences;
 * closed-form excitation weight X = |B/A|^2 chi^2 versus direct integration
@@ -31,7 +31,7 @@ from .bogoliubov import (
 from .cosmology import ModelParams
 from .oracle import MatchResult, integrate_mode
 from .probe import EstimationResult, qfi_eps
-from .qfi import OutcomeDistribution, classical_fisher
+from .qfi import classical_fisher
 
 GRID_RANGE = (0.1, 5.0)
 
@@ -108,12 +108,7 @@ def check_measurement_optimality(
     grid: list[tuple[ModelParams, EstimationResult]],
 ) -> CheckResult:
     """Eigenprojector classical Fisher information against the reported QFI."""
-    worst = 0.0
-    for _, est in grid:
-        st = est.state
-        dp0 = -st.dX / (1.0 + st.X) ** 2
-        cfi = classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, -dp0)))
-        worst = max(worst, _rel_diff(cfi, est.qfi))
+    worst = max(_rel_diff(classical_fisher(est.state), est.qfi) for _, est in grid)
     return CheckResult("measurement optimality", worst, IDENTITY_TOL, len(grid))
 
 

@@ -109,6 +109,15 @@ def test_subnormal_excitation_weight_exits_three(capsys):
     assert err.startswith("error: QFI is ")
 
 
+def test_overflowing_bound_exits_three(capsys):
+    # qfi = 1e-322 is positive, so an infinite bound must not reach stdout
+    code, out, err = run(capsys, "point", "--eps", "39059.88820123089",
+                         "--m", "109.29129654872689", "--k", "0.03304315365917624")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: bound 1/(trials*qfi) overflows at qfi=1e-322")
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

@@ -182,3 +182,13 @@ def test_exhausted_step_budget_raises_integration_error(monkeypatch):
     monkeypatch.setattr(_kernel, "impl", pure)
     with pytest.raises(IntegrationError, match="^step budget exhausted at "):
         integrate_mode(ModelParams(1.0, 1.0, 1.0))
+
+
+def test_step_size_underflow_raises_integration_error(monkeypatch):
+    # A relative tolerance far below the double spacing shrinks the step
+    # under the kernel's floor of 1e-14 * max(1, |eta|).
+    monkeypatch.setattr(oracle, "REL_TOL", 1e-30)
+    monkeypatch.setattr(oracle, "ABS_TOL", 1e-300)
+    monkeypatch.setattr(_kernel, "impl", pure)
+    with pytest.raises(IntegrationError, match="^step size underflow at "):
+        integrate_mode(ModelParams(1.0, 1.0, 1.0))

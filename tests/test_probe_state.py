@@ -12,7 +12,6 @@ from cosmo_qfi import (
     CosmoQfiError,
     DegenerateParameterError,
     ModelParams,
-    OutcomeDistribution,
     ProbeState,
     classical_fisher,
     probe,
@@ -22,12 +21,6 @@ from cosmo_qfi import (
 
 FROZEN_X_UNIT = 1.6698406311094825e-4
 FROZEN_QFI_UNIT = 5.8075378672444121e-5  # mpmath, analytic derivative route
-
-
-def _eigenprojector_fisher(st: ProbeState) -> float:
-    # classical Fisher information of measuring the probe in its eigenbasis
-    dp0 = -st.dX / (1.0 + st.X) ** 2
-    return classical_fisher(OutcomeDistribution((st.p0, st.p1), (dp0, -dp0)))
 
 
 def test_probe_massless_is_vacuum():
@@ -63,7 +56,7 @@ def test_qfi_massless_is_zero_with_infinite_bound():
     est = qfi_eps(ModelParams(1.0, 0.0, 1.0))
     assert est.qfi == 0.0
     assert math.isinf(est.bound)
-    assert _eigenprojector_fisher(est.state) == 0.0
+    assert classical_fisher(est.state) == 0.0
 
 
 def test_qfi_matches_simplified_form_on_grid():
@@ -82,7 +75,7 @@ def test_eigenprojector_measurement_saturates_qfi():
     # (1, 1e-3, 67.69): QFI 3.1e-189, where dp*dp underflows to zero
     for point in [(1.0, 1.0, 1.0), (0.5, 0.3, 2.0), (3.0, 1.5, 0.4), (1.0, 1e-3, 67.69)]:
         est = qfi_eps(ModelParams(*point))
-        assert abs(_eigenprojector_fisher(est.state) - est.qfi) <= 1e-10 * est.qfi
+        assert abs(classical_fisher(est.state) - est.qfi) <= 1e-10 * est.qfi
 
 
 def test_qfi_returns_the_probe_state_it_evaluated():
@@ -163,6 +156,15 @@ def test_bound_arithmetic():
     for trials in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             qfi_eps(ModelParams(1.0, 1.0, 1.0), trials=trials)
+
+
+def test_positive_qfi_with_an_overflowing_bound_raises_typed_error():
+    # At trials = 1 the QFI 1.1e-311 is positive, but 1/qfi overflows: an
+    # infinite bound would claim the state carries no information
+    p = ModelParams(292.9116735123882, 108.61768105386915, 0.075634133134634)
+    assert 0.0 < qfi_eps(p, trials=1e11).qfi < 1e-308
+    with pytest.raises(DegenerateParameterError, match=r"qfi=.*trials=1\.0"):
+        qfi_eps(p, trials=1.0)
 
 
 def test_bound_infinite_sentinel_for_massless():

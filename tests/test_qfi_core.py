@@ -1,46 +1,30 @@
-"""Classical Fisher information of discrete outcome families."""
+"""Classical Fisher information of the eigenprojector measurement."""
 
 import math
 
 import numpy as np
-import pytest
 
-from cosmo_qfi import (
-    ModelParams,
-    OutcomeDistribution,
-    SingularOutcomeError,
-    classical_fisher,
-    qfi_eps,
-)
+from cosmo_qfi import ModelParams, ProbeState, classical_fisher, qfi_eps
+
+
+def _state(p0: float, dp1: float) -> ProbeState:
+    # the probe state with outcomes (p0, 1 - p0) and dp1 = -dp0 = dX/(1+X)^2
+    X = (1.0 - p0) / p0
+    return ProbeState(p0, 1.0 - p0, X, dp1 * (1.0 + X) ** 2)
 
 
 def test_classical_fisher_symmetric_binary():
-    d = OutcomeDistribution((0.5, 0.5), (0.3, -0.3))
-    assert math.isclose(classical_fisher(d), 4.0 * 0.3**2, rel_tol=1e-15)
+    assert math.isclose(classical_fisher(_state(0.5, 0.3)), 4.0 * 0.3**2, rel_tol=1e-15)
 
 
 def test_classical_fisher_insensitive_distribution():
-    assert classical_fisher(OutcomeDistribution((1.0, 0.0), (0.0, 0.0))) == 0.0
+    assert classical_fisher(ProbeState(1.0, 0.0, 0.0, 0.0)) == 0.0
 
 
 def test_classical_fisher_two_outcome_closed_form():
     p, dp = 0.3, 0.1
-    d = OutcomeDistribution((p, 1.0 - p), (dp, -dp))
-    assert math.isclose(classical_fisher(d), dp * dp / (p * (1.0 - p)), rel_tol=1e-14)
-
-
-def test_classical_fisher_singular_outcome():
-    with pytest.raises(SingularOutcomeError):
-        classical_fisher(OutcomeDistribution((1.0, 0.0), (0.1, -0.1)))
-
-
-def test_outcome_distribution_validation():
-    with pytest.raises(ValueError):
-        OutcomeDistribution((0.6, 0.6), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        OutcomeDistribution((0.5, 0.5), (0.2, 0.2))
-    with pytest.raises(ValueError):
-        OutcomeDistribution((1.2, -0.2), (0.0, 0.0))
+    cfi = classical_fisher(_state(p, dp))
+    assert math.isclose(cfi, dp * dp / (p * (1.0 - p)), rel_tol=1e-14)
 
 
 def test_cramer_rao_ordering_under_coarse_graining():
@@ -54,19 +38,5 @@ def test_cramer_rao_ordering_under_coarse_graining():
         t0, t1 = rng.uniform(0.0, 1.0, size=2)
         q0 = t0 * st.p0 + t1 * st.p1
         dq0 = t0 * dp0 + t1 * (-dp0)
-        try:
-            coarse = classical_fisher(OutcomeDistribution((q0, 1.0 - q0), (dq0, -dq0)))
-        except SingularOutcomeError:
-            continue
+        coarse = dq0 / q0 * dq0 + dq0 / (1.0 - q0) * dq0
         assert coarse <= full + 1e-10
-
-
-def test_nonnegativity_random_families():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        raw = rng.uniform(0.0, 1.0, size=4)
-        probs = tuple(raw / raw.sum())
-        d = rng.normal(0.0, 0.1, size=4)
-        d -= d.mean()
-        dprobs = tuple(d)
-        assert classical_fisher(OutcomeDistribution(probs, dprobs)) >= 0.0

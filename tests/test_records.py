@@ -1,5 +1,5 @@
 """Records are immutable named tuples; validated inputs check every point a
-sweep, an optimization or a finite difference builds, however it is built."""
+sweep or an optimization builds, however it is built."""
 
 import math
 
@@ -13,11 +13,9 @@ from cosmo_qfi import (
     MatchResult,
     ModelParams,
     OptimumResult,
-    OutcomeDistribution,
     ProbeState,
     SweepRow,
     SweepSpec,
-    dX_deps_fd,
     optimize,
     sweep,
 )
@@ -45,7 +43,6 @@ FIELDS = {
 VALIDATED = {
     ModelParams: (FIXED, "k_tilde", 0.0),
     SweepSpec: (SweepSpec("m_tilde", 0.1, 1.0, 3, FIXED), "points", 1),
-    OutcomeDistribution: (OutcomeDistribution((0.5, 0.5), (0.1, -0.1)), "probs", (0.6, 0.6)),
 }
 
 
@@ -111,8 +108,3 @@ def test_sweep_points_are_validated():
         sweep(spec)
     with pytest.raises(ValueError, match="eps must be finite"):
         optimize("eps", 0.5, math.inf, FIXED)
-
-
-def test_finite_difference_points_are_validated():
-    with pytest.raises(ValueError, match="eps must be finite"):
-        dX_deps_fd(FIXED, h=math.nan)
