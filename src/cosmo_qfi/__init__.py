@@ -39,14 +39,7 @@ from .bogoliubov import (
     ratio_sq,
 )
 from .cosmology import FrequencySet, ModelParams, frequencies, scale_factor
-from .errors import (
-    CosmoQfiError,
-    DegenerateParameterError,
-    DerivativeStepError,
-    IntegrationError,
-    PoleError,
-    WindowTooSmallError,
-)
+from .errors import CosmoQfiError, DegenerateParameterError, IntegrationError
 from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
@@ -74,7 +67,6 @@ __all__ = [
     "CreationFactor",
     "DEFAULT_TRIALS",
     "DegenerateParameterError",
-    "DerivativeStepError",
     "EstimationResult",
     "FINITE_DIFFERENCE",
     "FrequencySet",
@@ -82,11 +74,9 @@ __all__ = [
     "MatchResult",
     "ModelParams",
     "OptimumResult",
-    "PoleError",
     "ProbeState",
     "SweepRow",
     "SweepSpec",
-    "WindowTooSmallError",
     "classical_fisher",
     "coefficients",
     "dX_deps_analytic",

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
-from .errors import DegenerateParameterError, DerivativeStepError
+from .errors import DegenerateParameterError
 from .specfun import coth, coth_minus_inv, log_gamma, log_sinh_abs, sinh_over_x
 
 ANALYTIC = "analytic"
@@ -151,11 +151,11 @@ def dX_deps_fd(p: ModelParams) -> float:
 
     One halving of the fixed step h = 1e-5 * max(eps, 1): returns
     (4 D(h/2) - D(h))/3 with D(s) = (X(eps+s) - X(eps-s))/(2 s).  Raises
-    DerivativeStepError at eps <= 2h, that is eps <= 2e-5.
+    DegenerateParameterError at eps <= 2h, that is eps <= 2e-5.
     """
     h = 1e-5 * max(p.eps, 1.0)
     if p.eps - 2.0 * h <= 0.0:
-        raise DerivativeStepError(f"fd step {h} too large at eps = {p.eps}")
+        raise DegenerateParameterError(f"fd step {h} too large at eps = {p.eps}")
 
     def X_at(e: float) -> float:
         return _weight(frequencies(ModelParams(e, p.m_tilde, p.k_tilde)))

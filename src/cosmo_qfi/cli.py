@@ -124,7 +124,8 @@ def _fixed_from_flags(args: argparse.Namespace, variable: str) -> ModelParams:
 
 def _cmd_point(args: argparse.Namespace) -> int:
     params = _params_from_flags(args)
-    est = qfi_eps(params, trials=args.trials, deriv_method=_DERIV_FLAGS[args.deriv_method])
+    deriv_method = _DERIV_FLAGS[args.deriv_method]
+    est = qfi_eps(params, trials=args.trials, deriv_method=deriv_method)
     st = est.state
     doc = {
         "eps": _json_number(params.eps),
@@ -136,7 +137,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
         "qfi": _json_number(est.qfi),
         "bound": _json_number(est.bound),
         "entropy": _json_number(state_entropy(st)),
-        "derivative_method": est.derivative_method,
+        "derivative_method": deriv_method,
     }
     print(json.dumps(doc))
     return EXIT_OK

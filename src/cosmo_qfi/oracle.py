@@ -32,7 +32,7 @@ from collections import namedtuple
 
 from . import _kernel
 from .cosmology import ModelParams, frequencies, scale_factor
-from .errors import DegenerateParameterError, IntegrationError, WindowTooSmallError
+from .errors import DegenerateParameterError, IntegrationError
 
 _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
@@ -41,10 +41,10 @@ _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the
 # Half-width of the integration window, in units of the inverse expansion
 # rate.  The window, not the integrator, bounds the oracle's accuracy: at its
 # ends a(eta) still differs from its limits by about 2 eps e^(-2 ETA_SPAN), so
-# plane waves started and matched there leave a relative error in |B/A|^2 of
-# order 2 eps e^(-2 ETA_SPAN) / |B/A|.  At span 15 that error is 2.9e-7 at
+# a mode started and read off there leaves a relative error in X of order
+# 2 eps e^(-2 ETA_SPAN) / |B/A|.  At span 15 that error is 3.0e-7 at
 # (eps, m, k) = (0.5, 5, 2), where |B/A| is 4e-7, and it does not fall as
-# REL_TOL tightens; at span 20 it is 2.9e-8.
+# REL_TOL tightens; at span 20 it is 3.9e-10.
 ETA_SPAN = 15.0
 # Step tolerances, tight enough that the norm drift stays far below the
 # verification budget.
@@ -52,12 +52,10 @@ REL_TOL = 1e-12
 ABS_TOL = 1e-14
 
 
-class MatchResult(namedtuple("MatchResult", (
-        "ratio_sq", "X", "fit_residual", "norm_drift", "steps"))):
-    """Matched magnitude ratios and the quality of the plane-wave fit.
+class MatchResult(namedtuple("MatchResult", ("X", "fit_residual", "norm_drift", "steps"))):
+    """Excitation weight read off the oracle and the quality of its match.
 
-    ratio_sq is |B/A|^2 of the matched plane waves and X the excitation
-    weight |beta/alpha|^2 read off the endpoint spinor.
+    X is the excitation weight |beta/alpha|^2 read off the endpoint spinor.
     fit_residual measures how well the matched superposition reproduces the
     integrated solution and its derivative one backoff interval before the
     endpoint, relative to |A|.  norm_drift bounds the relative drift of the
@@ -72,7 +70,7 @@ def _check_window(p: ModelParams, span: float, eta0: float) -> None:
     a_out = scale_factor(span, p.eps)
     a_in = scale_factor(eta0, p.eps)
     if abs(a_out - (1.0 + 2.0 * p.eps)) > _ASYMPTOTE_TOL or abs(a_in - 1.0) > _ASYMPTOTE_TOL:
-        raise WindowTooSmallError(
+        raise DegenerateParameterError(
             f"a(eta) not asymptotic at window ends (span {span}, eps {p.eps})"
         )
 
@@ -138,7 +136,6 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     residual = max(abs(psi_fit - psi_c), abs(dpsi_fit - dpsi_c) / w) / abs(a_coef)
 
     return MatchResult(
-        ratio_sq=abs(b_coef / a_coef) ** 2,
         X=abs(beta / alpha) ** 2,
         fit_residual=residual,
         # Leg 2 measures its drift against the checkpoint norm N_c, so

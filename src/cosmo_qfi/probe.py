@@ -27,13 +27,12 @@ class ProbeState(namedtuple("ProbeState", ("p0", "p1", "X", "dX"))):
     __slots__ = ()
 
 
-class EstimationResult(namedtuple(
-        "EstimationResult", ("qfi", "state", "bound", "trials", "derivative_method"))):
+class EstimationResult(namedtuple("EstimationResult", ("qfi", "state", "bound"))):
     """Fisher information and Cramer-Rao bound for a parameter point.
 
-    bound is the lower bound on the squared error after `trials` repetitions,
-    1/(trials * qfi); it is +inf when the state carries no information.
-    state is the probe state the figures were computed from.
+    bound is the lower bound on the squared error after the caller's `trials`
+    repetitions, 1/(trials * qfi); it is +inf when the state carries no
+    information.  state is the probe state the figures were computed from.
     """
 
     __slots__ = ()
@@ -90,4 +89,4 @@ def qfi_eps(
         raise DegenerateParameterError(
             f"bound 1/(trials*qfi) overflows at qfi={qfi!r}, trials={trials!r}"
         )
-    return EstimationResult(qfi, st, bnd, trials, deriv_method)
+    return EstimationResult(qfi, st, bnd)

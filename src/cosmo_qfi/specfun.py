@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import PoleError
+from .errors import DegenerateParameterError
 
 # Lanczos coefficients for g = 607/128 (Godfrey's 15-term set).  Relative
 # error of exp(log_gamma) stays below ~1e-14 on Re z >= 0.5 at the magnitudes
@@ -62,13 +62,14 @@ def log_gamma(z: complex) -> complex:
 
     Raises
     ------
-    PoleError
+    DegenerateParameterError
         If z is the pole at zero or lies in the left half-plane Re z < 0,
         which holds every other pole and which no caller reaches.
     """
     z = complex(z)
     if z.real < 0.0 or z == 0.0:
-        raise PoleError(f"log_gamma supports Re z >= 0 except the pole at 0, got z = {z}")
+        raise DegenerateParameterError(
+            f"log_gamma supports Re z >= 0 except the pole at 0, got z = {z}")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
@@ -83,7 +84,7 @@ def log_sinh_abs(x: float) -> float:
     Evaluated as |x| + ln(1 - e^{-2|x|}) - ln 2, which never overflows.
     """
     if x == 0.0:
-        raise PoleError("log_sinh_abs undefined at x = 0")
+        raise DegenerateParameterError("log_sinh_abs undefined at x = 0")
     ax = abs(x)
     return ax + math.log(-math.expm1(-2.0 * ax)) - _LOG_TWO
 
@@ -91,7 +92,7 @@ def log_sinh_abs(x: float) -> float:
 def coth(x: float) -> float:
     """cosh x / sinh x; exactly +-1 from |x| = 19.1 on, where tanh rounds to +-1."""
     if x == 0.0:
-        raise PoleError("coth undefined at x = 0")
+        raise DegenerateParameterError("coth undefined at x = 0")
     return 1.0 / math.tanh(x)
 
 

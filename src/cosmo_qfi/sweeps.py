@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
-from .errors import CosmoQfiError
+from .errors import CosmoQfiError, DegenerateParameterError
 from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy, probe
 
 SWEEP_VARIABLES = ("m_tilde", "k_tilde", "eps")
@@ -147,7 +147,7 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
 
 
 class OptimumResult(namedtuple(
-        "OptimumResult", ("variable", "coordinate", "estimation", "boundary_warning"))):
+        "OptimumResult", ("coordinate", "estimation", "boundary_warning"))):
     """Located optimum of the error bound over one coordinate."""
 
     __slots__ = ()
@@ -169,7 +169,10 @@ def optimize(
     each time, until it is at most 1e-6 absolute in the coordinate (or the
     cells collapse below the spacing of doubles).  The best point seen over
     all scans is returned.  boundary_warning is set when the optimum lies in
-    the first or last pre-scan cell.
+    the first or last pre-scan cell, or when a pre-scan neighbour of the best
+    pre-scan point has an infinite bound (it raised or carries no
+    information), so the optimum may be pinned against a region the
+    objective cannot evaluate.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -184,7 +187,15 @@ def optimize(
             return math.inf
         return est.bound
 
-    best_x, best_f = lo, math.inf
+    prescan = _grid(lo, hi, _PRESCAN_POINTS, "log")
+    bounds = [objective(v) for v in prescan]
+    best_f = min(bounds)
+    if math.isinf(best_f):
+        raise DegenerateParameterError("bound is infinite over the whole scan range")
+    i = bounds.index(best_f)
+    best_x = prescan[i]
+    pinned = math.inf in bounds[max(i - 1, 0):i + 2]
+    a, b = prescan[max(i - 1, 0)], prescan[min(i + 1, _PRESCAN_POINTS - 1)]
 
     def scan(grid: list[float]) -> None:
         nonlocal best_x, best_f
@@ -193,12 +204,6 @@ def optimize(
             if f < best_f:
                 best_x, best_f = v, f
 
-    prescan = _grid(lo, hi, _PRESCAN_POINTS, "log")
-    scan(prescan)
-    if math.isinf(best_f):
-        raise CosmoQfiError("bound is infinite over the whole scan range")
-    i = prescan.index(best_x)
-    a, b = prescan[max(i - 1, 0)], prescan[min(i + 1, _PRESCAN_POINTS - 1)]
     while True:
         step = (b - a) / (_ZOOM_POINTS - 1)
         scan(_grid(a, b, _ZOOM_POINTS, "linear"))
@@ -206,8 +211,7 @@ def optimize(
             break
         a, b = max(best_x - step, lo), min(best_x + step, hi)
 
-    warn = best_x <= prescan[1] or best_x >= prescan[-2]
+    warn = best_x <= prescan[1] or best_x >= prescan[-2] or pinned
     est = qfi_eps(_params_at(fixed, variable, best_x), trials=trials,
                   deriv_method=deriv_method)
-    return OptimumResult(variable=variable, coordinate=best_x,
-                         estimation=est, boundary_warning=warn)
+    return OptimumResult(coordinate=best_x, estimation=est, boundary_warning=warn)

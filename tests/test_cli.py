@@ -87,9 +87,32 @@ def test_usage_errors_exit_two(capsys, argv, tmp_path, monkeypatch):
 
 
 def test_degenerate_evaluation_exits_three(capsys):
-    code, _, err = run(capsys, "point", "--eps", "1e300")
-    assert code == 3
-    assert err.strip()  # one-line diagnostic
+    # The closed form's guard and the fd step's guard raise the same typed
+    # error, and the CLI maps both to exit 3 with a one-line diagnostic.
+    cases = {
+        ("point", "--eps", "1e300"):
+            "error: sinh closed form requires zeta_pp > 0 and zeta_pm > 0\n",
+        ("point", "--deriv-method", "fd", "--eps", "1e-5"):
+            "error: fd step 1e-05 too large at eps = 1e-05\n",
+    }
+    for argv, expected in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == expected
+
+
+def test_sweep_keeps_the_fd_step_row_as_nan(capsys, tmp_path):
+    # eps = 1e-6 is inside the fd step's guard: that row reads NaN with an
+    # infinite bound, and the rest of the sweep evaluates.
+    out = tmp_path / "fd.csv"
+    code, _, _ = run(capsys, "sweep", "--var", "eps", "--lo", "1e-6", "--hi", "1e-4",
+                     "--points", "5", "--deriv-method", "fd", "--out", str(out))
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert ",".join(rows[0]) == "1e-06,nan,inf,nan,nan"
+    assert len(rows) == 5
+    assert all(math.isfinite(float(x)) for row in rows[1:] for x in row)
 
 
 def test_identity_check_failure_exits_three(capsys):
@@ -347,6 +370,22 @@ def test_optimize_over_a_wide_finite_range(capsys):
         assert abs(doc["optimum"] - 0.205417) < 1e-5
         assert math.isclose(doc["bound"], 2.5898e-9, rel_tol=1e-4)
         assert doc["boundary_warning"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the bound keeps falling as eps shrinks; the pre-scan point left of
+        # the optimum 3.4e-153 cannot be evaluated
+        ["--lo", "1e-300", "--hi", "1e308"],
+        # the fd step raises at eps <= 2e-5, next to the optimum 2.0e-5
+        ["--lo", "1e-7", "--hi", "1e-4", "--deriv-method", "fd"],
+    ],
+)
+def test_optimize_warns_next_to_an_unevaluable_point(capsys, argv):
+    code, out, err = run(capsys, "optimize", "--var", "eps", *argv)
+    assert code == 0, err
+    assert json.loads(out)["boundary_warning"] is True
 
 
 def test_optimize_json_contract(capsys):

@@ -9,13 +9,11 @@ from cosmo_qfi import (
     DegenerateParameterError,
     IntegrationError,
     ModelParams,
-    WindowTooSmallError,
     _kernel,
     bogoliubov,
     excitation_weight,
     frequencies,
     integrate_mode,
-    mixing_sq_sinh,
     oracle,
     verify,
     wronskian_drift,
@@ -34,34 +32,33 @@ def _rel(a, b):
 def test_ratio_matches_closed_form(point):
     p = ModelParams(*point)
     match = integrate_mode(p)
-    assert _rel(match.ratio_sq, mixing_sq_sinh(p)) < 1e-4
     assert _rel(match.X, excitation_weight(p).X) < 1e-4
     assert match.fit_residual < 1e-8
-    assert match.ratio_sq < 1
+    assert match.X < 1
 
 
 def test_near_conformal_ratio_vanishes():
     match = integrate_mode(ModelParams(1.0, 1e-6, 1.0))
-    assert match.ratio_sq < 1e-10
+    assert match.X < 1e-10
 
 
 def test_ratio_invariant_under_start_shift(monkeypatch):
     # A wider window starts the in-mode deeper in the asymptotic past (and
-    # matches it later); the extracted magnitude ratio must not move.
+    # matches it later); the extracted excitation weight must not move.
     p = ModelParams(1.0, 1.0, 1.0)
-    ratios = []
+    weights = []
     for span in (15.0, 15.25, 16.0, 20.0):
         monkeypatch.setattr(oracle, "ETA_SPAN", span)
-        ratios.append(integrate_mode(p).ratio_sq)
-    for shifted in ratios[1:]:
-        assert abs(shifted - ratios[0]) / ratios[0] < 1e-8
+        weights.append(integrate_mode(p).X)
+    for shifted in weights[1:]:
+        assert abs(shifted - weights[0]) / weights[0] < 1e-8
 
 
 def test_window_span_is_read_at_call_time(monkeypatch):
-    # At span 15 the finite window leaves 2.9e-7 here; at 20 it leaves 2.9e-8.
+    # At span 15 the finite window leaves 3.0e-7 in X here; at 20 it leaves 3.9e-10.
     monkeypatch.setattr(oracle, "ETA_SPAN", 20.0)
     p = ModelParams(0.5, 5.0, 2.0)
-    assert _rel(integrate_mode(p).ratio_sq, mixing_sq_sinh(p)) < 1e-7
+    assert _rel(integrate_mode(p).X, excitation_weight(p).X) < 1e-7
 
 
 def test_wronskian_drift_within_budget():
@@ -160,7 +157,7 @@ def test_drift_row_catches_a_perturbed_tableau(monkeypatch):
 
 
 def test_window_too_small_raises():
-    with pytest.raises(WindowTooSmallError):
+    with pytest.raises(DegenerateParameterError, match="not asymptotic at window ends"):
         integrate_mode(ModelParams(600.0, 0.5, 1.0))
 
 

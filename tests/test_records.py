@@ -31,10 +31,10 @@ FIELDS = {
     BogoliubovPair: ("log_abs_A", "log_abs_B"),
     CreationFactor: ("X", "dX_deps"),
     ProbeState: ("p0", "p1", "X", "dX"),
-    EstimationResult: ("qfi", "state", "bound", "trials", "derivative_method"),
+    EstimationResult: ("qfi", "state", "bound"),
     SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
-    OptimumResult: ("variable", "coordinate", "estimation", "boundary_warning"),
-    MatchResult: ("ratio_sq", "X", "fit_residual", "norm_drift", "steps"),
+    OptimumResult: ("coordinate", "estimation", "boundary_warning"),
+    MatchResult: ("X", "fit_residual", "norm_drift", "steps"),
     CheckResult: ("name", "worst", "tolerance", "points"),
 }
 
