@@ -5,8 +5,8 @@ must agree (the verification suite enforces this):
 
 * `coefficients` assembles the complex mixing coefficients A, B from
   log-Gamma factors, entirely in log space;
-* `mixing_sq_sinh` evaluates the closed sinh form of |B/A|^2, with explicit
-  sign tracking and a series fill at the removable zero of zeta_mm.
+* `mixing_sq_sinh` evaluates the closed sinh form of |B/A|^2 as a sum of
+  logs in which nothing cancels.
 
 The excitation weight X = |B/A|^2 * chi_abs^2 is what the reduced probe state
 sees.  `_weight` is its only statement, on the sinh route; at m_tilde = 0 it
@@ -22,12 +22,17 @@ from collections import namedtuple
 
 from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
 from .errors import DegenerateParameterError
-from .specfun import coth, coth_minus_inv, log_gamma, log_sinh_abs, sinh_over_x
+from .specfun import log_gamma
 
 ANALYTIC = "analytic"
 FINITE_DIFFERENCE = "finite_difference"
 
 _PI = math.pi
+_TWO_PI = 2.0 * math.pi
+_LOG_TWO_PI = math.log(_TWO_PI)
+# The log-Gamma sum loses ~1e-15 relative per unit of zeta_pp: 3.8e-11 at most
+# up to this limit over 20 000 log-uniform points in [1e-8, 1e6]^3.
+_GAMMA_ZETA_PP_MAX = 5e4
 
 
 class BogoliubovPair(namedtuple("BogoliubovPair", ("log_abs_A", "log_abs_B"))):
@@ -48,11 +53,14 @@ def coefficients(p: ModelParams) -> BogoliubovPair:
     """Mixing coefficients A, B via log-Gamma.
 
     Requires m_tilde > 0 (no mixing happens in the conformally invariant
-    limit and the Gamma arguments degenerate).
+    limit and the Gamma arguments degenerate) and zeta_pp <= 5e4.
     """
     if p.m_tilde == 0.0:
         raise DegenerateParameterError("coefficients undefined at m_tilde = 0")
     f = frequencies(p)
+    if f.zeta_pp > _GAMMA_ZETA_PP_MAX:
+        raise DegenerateParameterError(
+            f"Gamma route cannot resolve |B/A|^2 past zeta_pp = {_GAMMA_ZETA_PP_MAX:g}")
     half_log_pref = 0.5 * math.log(f.omega_out / f.omega_in)
     common = log_gamma(1.0 - 1j * f.omega_in)
     log_A = common + log_gamma(-1j * f.omega_out) \
@@ -76,32 +84,33 @@ def ratio_sq(pair: BogoliubovPair) -> float:
     return _exp_checked(2.0 * (pair.log_abs_B - pair.log_abs_A))
 
 
+def _log_tail(z: float) -> float:
+    # T(z) = ln(1 - e^(-2 pi z)) = ln sinh(pi z) - (pi z - ln 2) for z > 0.
+    return math.log(-math.expm1(-_TWO_PI * z))
+
+
+def _dlog_tail(z: float) -> float:
+    # T'(z) = 2 pi e^(-2 pi z) / (1 - e^(-2 pi z)).
+    return _TWO_PI * math.exp(-_TWO_PI * z) / -math.expm1(-_TWO_PI * z)
+
+
 def _mixing_sq_sinh(f: FrequencySet) -> float:
     # |B/A|^2:
     #   (zeta_mp zeta_pp)/(zeta_mm zeta_pm)
     #     * sinh(pi zeta_mm) sinh(pi zeta_mp) / (sinh(pi zeta_pp) sinh(pi zeta_pm))
-    # regrouped so each factor is positive:
-    #   [zeta_pp/zeta_pm] * [sinh(pi zeta_mm)/zeta_mm]
-    #     * [zeta_mp sinh(pi zeta_mp)] / [sinh(pi zeta_pp) sinh(pi zeta_pm)]
-    if f.zeta_pp <= 0.0 or f.zeta_pm <= 0.0:
-        raise DegenerateParameterError(
-            "sinh closed form requires zeta_pp > 0 and zeta_pm > 0"
-        )
+    # With a = -zeta_mm >= 0, the linear parts pi z - ln 2 of the four ln sinh
+    # sum to -2 pi zeta_pm, as zeta_pp - zeta_mp = zeta_pm - zeta_mm = omega_in.
     if f.zeta_mp == 0.0:
         # zeta_mp and sinh(pi zeta_mp) vanish together; the product is an
         # exact zero (the no-expansion / massless limits).
         return 0.0
-    # sinh(pi zeta_mm)/zeta_mm: positive with a removable zero at zeta_mm = 0.
-    x = _PI * f.zeta_mm
-    if abs(x) < 1.0:
-        log_even = math.log(_PI * sinh_over_x(x))
-    else:
-        log_even = log_sinh_abs(x) - math.log(abs(f.zeta_mm))
+    a = -f.zeta_mm
+    # ln(sinh(pi a)/a) - (pi a - ln 2), which tends to ln 2 pi as a -> 0.
+    log_even = math.log(-math.expm1(-_TWO_PI * a) / a) if a > 0.0 else _LOG_TWO_PI
     log_total = (
-        math.log(f.zeta_pp) - math.log(f.zeta_pm)
-        + log_even
-        + math.log(f.zeta_mp) + log_sinh_abs(_PI * f.zeta_mp)
-        - log_sinh_abs(_PI * f.zeta_pp) - log_sinh_abs(_PI * f.zeta_pm)
+        math.log(f.zeta_pp) - math.log(f.zeta_pm) + math.log(f.zeta_mp)
+        - _TWO_PI * f.zeta_pm + log_even
+        + _log_tail(f.zeta_mp) - _log_tail(f.zeta_pp) - _log_tail(f.zeta_pm)
     )
     return _exp_checked(log_total)
 
@@ -123,8 +132,8 @@ def _weight(f: FrequencySet) -> float:
 def dX_deps_analytic(p: ModelParams) -> float:
     """Exact chain-rule derivative of the excitation weight in eps.
 
-    Differentiates ln X through every zeta and through chi; the zeta_mm group
-    uses coth(x) - 1/x, which is analytic through the removable zero.
+    d ln X = zeta_pp' G - zeta_mm' S with zeta_pp' > 0 > zeta_mm' and G,
+    S > 0, so every term is non-negative and dX > 0 wherever X > 0.
     Requires X > 0, so m_tilde > 0.
     """
     f = frequencies(p)
@@ -132,18 +141,28 @@ def dX_deps_analytic(p: ModelParams) -> float:
     if X == 0.0:
         raise DegenerateParameterError("dX_deps_analytic requires X > 0")
     m = p.m_tilde
-    domega = domega_out_deps(p)
-    dz_p = 0.5 * domega + m  # zeta_pp' and zeta_mp'
-    dz_m = 0.5 * domega - m  # zeta_pm' and zeta_mm'
-    dlog_mix = (
-        dz_p / f.zeta_pp - dz_m / f.zeta_pm
-        + dz_m * _PI * coth_minus_inv(_PI * f.zeta_mm)
-        + dz_p * (1.0 / f.zeta_mp + _PI * coth(_PI * f.zeta_mp))
-        - _PI * (coth(_PI * f.zeta_pp) * dz_p + coth(_PI * f.zeta_pm) * dz_m)
+    dz_p = 0.5 * domega_out_deps(p) + m  # zeta_pp' and zeta_mp'
+    dz_m = -m * p.k_tilde * f.chi_abs / f.omega_out  # zeta_pm' and zeta_mm'
+    # G: the zeta_pp and zeta_mp terms with d ln chi^2 folded in, and their
+    # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form.
+    G = (
+        (f.omega_in * f.omega_in + m * (f.zeta_pp + f.zeta_mp))
+        / f.zeta_pp / f.zeta_mp / (f.omega_out + f.mu_out)
+        + _TWO_PI * -math.expm1(-_TWO_PI * f.omega_in) * math.exp(-_TWO_PI * f.zeta_mp)
+        / (math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp))
     )
-    # chi = k/(omega_out + mu_out), so dln(chi^2) = -2 (domega + 2m)/(omega_out + mu_out)
-    dlog_chi_sq = -2.0 * (domega + 2.0 * m) / (f.omega_out + f.mu_out)
-    return X * (dlog_mix + dlog_chi_sq)
+    # S: the zeta_pm and zeta_mm terms, with D(a) = T'(a) - 1/a in (-pi, 0]
+    # at a = -zeta_mm; below x = pi a = 0.1, where the direct difference
+    # loses a factor 1/x in accuracy, its series takes over.
+    a = -f.zeta_mm
+    x = _PI * a
+    if x < 0.1:
+        x2 = x * x
+        D = _PI * (x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0))) - 1.0)
+    else:
+        D = _dlog_tail(a) - 1.0 / a
+    S = 1.0 / f.zeta_pm + _TWO_PI + _dlog_tail(f.zeta_pm) + D
+    return X * (dz_p * G - dz_m * S)
 
 
 def dX_deps_fd(p: ModelParams) -> float:

@@ -54,8 +54,9 @@ class FrequencySet(namedtuple("FrequencySet", (
     (omega_out - omega_in)/2, zeta_pp, zeta_pm, zeta_mp, zeta_mm are
     omega_plus + m*eps, omega_plus - m*eps, omega_minus + m*eps and
     omega_minus - m*eps.  The first three are strictly positive for
-    m_tilde > 0 while zeta_mm may cross zero; at m_tilde = 0, zeta_mp and
-    zeta_mm are exactly 0.
+    m_tilde > 0 and zeta_mm <= 0 everywhere (hypot is 1-Lipschitz, so
+    omega_out - omega_in <= mu_out - m = 2 m eps); at m_tilde = 0, zeta_mp
+    and zeta_mm are exactly 0.
     """
 
     __slots__ = ()
@@ -87,14 +88,18 @@ def frequencies(p: ModelParams) -> FrequencySet:
         raise DegenerateParameterError(
             f"frequencies overflow for eps={eps}, m_tilde={m}, k_tilde={k}"
         )
-    omega_plus = 0.5 * (omega_out + omega_in)
-    omega_minus = 0.5 * (omega_out - omega_in)
+    # No differences: omega_out - omega_in = (mu_out^2 - m^2)/(omega_out +
+    # omega_in) and omega - mass = k^2/(omega + mass).
+    chi = k / (omega_out + mu_out)
     me = m * eps
+    omega_minus = 2.0 * me * (m * (1.0 + eps) / (omega_out + omega_in))
+    zeta_mp = omega_minus + me
+    k_in = k / (omega_in + m)
+    zeta_pm = m + 0.5 * (k * chi + k * k_in)
     # Positional: keyword binding would double the cost of building the record.
     return FrequencySet(
-        omega_in, omega_out,
-        omega_plus + me, omega_plus - me, omega_minus + me, omega_minus - me,
-        mu_out, k / (omega_out + mu_out),
+        omega_in, omega_out, zeta_pm + 2.0 * me, zeta_pm, zeta_mp,
+        -chi * k_in * zeta_mp, mu_out, chi,
     )
 
 

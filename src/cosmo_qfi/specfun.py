@@ -1,12 +1,10 @@
-"""Numerically stable special functions for the Bogoliubov and Fisher layers.
+"""The complex log-Gamma of the Bogoliubov Gamma route.
 
-Everything downstream that multiplies Gamma and sinh factors works in log
-space: sinh(pi*zeta) overflows once zeta passes ~230 and zeta grows linearly
-in the expansion parameter, so magnitudes are carried as logarithms and signs
-are tracked explicitly by the callers.  The complex log-Gamma uses a Lanczos
-approximation with a single recurrence step near the imaginary axis; the
-Bogoliubov coefficients take it at real parts 0 and 1 only, so it rejects the
-left half-plane.
+Gamma(i zeta) underflows once zeta passes ~230 and zeta grows linearly in the
+expansion parameter, so the coefficients are carried as logarithms.  The
+Lanczos approximation takes a single recurrence step near the imaginary
+axis; the Bogoliubov coefficients take it at real parts 0 and 1 only, so it
+rejects the left half-plane.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ _LANCZOS_C = (
 )
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_TWO = math.log(2.0)
 
 
 def _lanczos_log_gamma(z: complex) -> complex:
@@ -76,44 +73,3 @@ def log_gamma(z: complex) -> complex:
         return _lanczos_log_gamma(z)
     # log Gamma(z) = log Gamma(z + 1) - log z
     return _lanczos_log_gamma(z + 1.0) - cmath.log(z)
-
-
-def log_sinh_abs(x: float) -> float:
-    """ln|sinh x|, exact to rounding for |x| from ~1e-300 up to ~1e6.
-
-    Evaluated as |x| + ln(1 - e^{-2|x|}) - ln 2, which never overflows.
-    """
-    if x == 0.0:
-        raise DegenerateParameterError("log_sinh_abs undefined at x = 0")
-    ax = abs(x)
-    return ax + math.log(-math.expm1(-2.0 * ax)) - _LOG_TWO
-
-
-def coth(x: float) -> float:
-    """cosh x / sinh x; exactly +-1 from |x| = 19.1 on, where tanh rounds to +-1."""
-    if x == 0.0:
-        raise DegenerateParameterError("coth undefined at x = 0")
-    return 1.0 / math.tanh(x)
-
-
-def sinh_over_x(x: float) -> float:
-    """sinh(x)/x with the removable singularity at x = 0 filled by series."""
-    ax = abs(x)
-    if ax < 1e-3:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 * (1.0 + x2 / 20.0)
-    return math.sinh(x) / x
-
-
-def coth_minus_inv(x: float) -> float:
-    """coth(x) - 1/x with the removable singularity at x = 0 filled by series.
-
-    The direct difference loses ~x^2 relative digits near zero, so the series
-    takes over for |x| < 0.1.
-    """
-    ax = abs(x)
-    if ax < 0.1:
-        x2 = x * x
-        # x/3 - x^3/45 + 2 x^5/945 - x^7/4725
-        return x * (1.0 / 3.0 + x2 * (-1.0 / 45.0 + x2 * (2.0 / 945.0 - x2 / 4725.0)))
-    return coth(x) - 1.0 / x

@@ -44,11 +44,16 @@ def _mp_mixing_sq(eps, m, k):
     wp, wm = (w_out + w_in) / 2, (w_out - w_in) / 2
     z_pp, z_pm = wp + m * eps, wp - m * eps
     z_mp, z_mm = wm + m * eps, wm - m * eps
-    return float(
+    return (
         (z_mp * z_pp) / (z_mm * z_pm)
         * mp.sinh(mp.pi * z_mm) * mp.sinh(mp.pi * z_mp)
         / (mp.sinh(mp.pi * z_pp) * mp.sinh(mp.pi * z_pm))
     )
+
+
+def _mp_weight(eps, m, k):
+    mu_out = m * (1 + 2 * eps)
+    return _mp_mixing_sq(eps, m, k) * ((mp.sqrt(k**2 + mu_out**2) - mu_out) / k) ** 2
 
 
 @pytest.mark.parametrize("point,expected", sorted(FROZEN_MIXING.items()))
@@ -129,18 +134,19 @@ def test_continuity_near_zeta_mm_zero(target):
     p = ModelParams(eps, m, k)
     assert abs(frequencies(p).zeta_mm - target) < 1e-3 * abs(target)
     got = mixing_sq_sinh(p)
-    ref = _mp_mixing_sq(eps, m, k)
+    ref = float(_mp_mixing_sq(eps, m, k))
     assert math.isfinite(got) and got > 0.0
     assert math.isclose(got, ref, rel_tol=1e-11)
 
 
 def test_continuity_across_series_threshold():
-    # internal switch at |pi zeta_mm| = 1; values on both sides agree with mpmath
+    # dX_deps_analytic switches to a series at pi |zeta_mm| = 0.1; the
+    # derivative on both sides agrees with mpmath's
     eps, m = 1.0, 1.0
-    for target in (-1.0 / math.pi * 0.99, -1.0 / math.pi * 1.01):
+    for target in (-0.1 / math.pi * 0.99, -0.1 / math.pi * 1.01):
         k = _solve_k_for_zeta_mm(eps, m, target)
-        p = ModelParams(eps, m, k)
-        assert math.isclose(mixing_sq_sinh(p), _mp_mixing_sq(eps, m, k), rel_tol=1e-12)
+        ref = mp.diff(lambda e: _mp_weight(e, m, k), mp.mpf(eps))
+        assert math.isclose(dX_deps_analytic(ModelParams(eps, m, k)), ref, rel_tol=1e-13)
 
 
 def test_excitation_weight_unit_point():
@@ -220,18 +226,22 @@ def test_excitation_weight_method_flag():
 
 
 def test_extreme_expansion_degenerates_cleanly():
-    # zeta_pm = (omega_in + m)/2 + O(1/eps) cancels to zero in doubles once
-    # m*eps passes ~1e16; the guard must turn that into the package error,
-    # never a raw arithmetic exception
-    for eps in (1e18, 1e150, 1e300):
-        with pytest.raises(DegenerateParameterError):
-            mixing_sq_sinh(ModelParams(eps, 1.0, 1.0))
+    # zeta_pm stays near (omega_in + m)/2 however large eps grows, so the
+    # sinh route keeps its eps^2 growth until the magnitude overflows, which
+    # raises the package error, never a raw arithmetic exception
+    assert math.isclose(mixing_sq_sinh(ModelParams(1e18, 1.0, 1.0)) / 1e36,
+                        mixing_sq_sinh(ModelParams(1e150, 1.0, 1.0)) / 1e300, rel_tol=1e-12)
+    with pytest.raises(DegenerateParameterError, match="overflows double precision"):
+        mixing_sq_sinh(ModelParams(1e300, 1.0, 1.0))
 
 
 def test_pole_error_reachable_through_gamma_route():
-    # Once m*eps passes ~1e16, zeta_pm cancels to 0 in doubles and puts the
-    # Gamma argument -i zeta_pm on the pole at 0: valid parameters reach
-    # log_gamma's guard through coefficients().
+    # The log-Gamma sum loses ~1e-15 relative per unit of zeta_pp, so the
+    # Gamma route raises past zeta_pp = 5e4 rather than return a value it
+    # cannot resolve; just under the limit it still matches the sinh route.
     for eps in (1e16, 1e17, 1e18, 1e150, 1e300):
-        with pytest.raises(DegenerateParameterError, match="pole at 0"):
+        with pytest.raises(DegenerateParameterError, match="past zeta_pp = 50000"):
             coefficients(ModelParams(eps, 1.0, 1.0))
+    p = ModelParams(2.49e4, 1.0, 1.0)
+    assert 4.9e4 < frequencies(p).zeta_pp < 5e4
+    assert math.isclose(ratio_sq(coefficients(p)), mixing_sq_sinh(p), rel_tol=1e-10)

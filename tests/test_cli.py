@@ -87,11 +87,11 @@ def test_usage_errors_exit_two(capsys, argv, tmp_path, monkeypatch):
 
 
 def test_degenerate_evaluation_exits_three(capsys):
-    # The closed form's guard and the fd step's guard raise the same typed
+    # The closed form's overflow and the fd step's guard raise the same typed
     # error, and the CLI maps both to exit 3 with a one-line diagnostic.
     cases = {
         ("point", "--eps", "1e300"):
-            "error: sinh closed form requires zeta_pp > 0 and zeta_pm > 0\n",
+            "error: magnitude exp(1376.4) overflows double precision\n",
         ("point", "--deriv-method", "fd", "--eps", "1e-5"):
             "error: fd step 1e-05 too large at eps = 1e-05\n",
     }
@@ -376,8 +376,8 @@ def test_optimize_over_a_wide_finite_range(capsys):
     "argv",
     [
         # the bound keeps falling as eps shrinks; the pre-scan point left of
-        # the optimum 3.4e-153 cannot be evaluated
-        ["--lo", "1e-300", "--hi", "1e308"],
+        # the optimum 4.9e-17 has subnormal X and cannot be evaluated
+        ["--lo", "1e-300", "--hi", "1e308", "--m", "100", "--k", "0.01"],
         # the fd step raises at eps <= 2e-5, next to the optimum 2.0e-5
         ["--lo", "1e-7", "--hi", "1e-4", "--deriv-method", "fd"],
     ],

@@ -7,9 +7,10 @@ k = (1 + 2 eps) m, where the QFI approaches its supremum 1/(1 + 2 eps)^2 in
 the sudden limit (acceptance criterion 11).  Every point either raises a
 typed `CosmoQfiError` or yields finite, non-negative figures that respect
 that supremum; a derivative only 0.1 % too large breaks the last property
-near the ray.  Sweeps and optimizations run over log-uniform boxes of the
-same domain: each sweep row is such a point or the documented NaN row, and
-an optimization returns such a point or raises a typed error.
+near the ray.  The weight grows with eps, so dX > 0 wherever X > 0.  Sweeps
+and optimizations run over log-uniform boxes of the same domain: each sweep
+row is such a point or the documented NaN row, and an optimization returns
+such a point or raises a typed error.
 """
 
 import math
@@ -49,6 +50,7 @@ def test_point_path_is_finite_or_typed_and_below_the_supremum(point):
         return
     assert math.isfinite(est.qfi) and est.qfi >= 0.0
     assert math.isfinite(entropy)
+    assert est.state.dX > 0.0 or est.state.X == 0.0
     assert (est.bound == math.inf) == (est.qfi == 0.0)
     assert (1.0 + 2.0 * eps) ** 2 * est.qfi <= 1.0 + SUPREMUM_SLACK
 

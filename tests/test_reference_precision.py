@@ -1,30 +1,41 @@
-"""The closed form against a 40-digit reference inside the paper box.
+"""The closed form against a 40-digit reference over the admitted domain.
 
 The reference evaluates the Gamma product
 
     |B/A|^2 = |Gamma(1 - i zeta_pp) Gamma(-i zeta_pm)|^2
               / |Gamma(1 + i zeta_mm) Gamma(i zeta_mp)|^2
 
-and chi = (omega_out - mu_out)/k with mpmath at 40 digits, every frequency
-rebuilt from the double inputs, so it shares no code with the package; its
-eps-derivative is taken by `mp.diff`.  X, dX/deps and the QFI of `qfi_eps`
-must match it at fixed-seed log-uniform points in [0.1, 10]^3.  The bounds
-sit just above the worst errors the package shows there (8.6e-14, 4.9e-13
-and 9.5e-13); outside the box `frequencies` still loses digits to
-cancellation.
+and chi = (omega_out - mu_out)/k with mpmath, every frequency rebuilt from
+the double inputs by the textbook differences, so it shares no code with the
+package.  Its eps-derivative is a central difference with a step relative to
+eps; `mp.diff`'s default absolute step leaves it off by 5e-4 at eps = 1e16
+and 60 digits.  X, dX/deps and the QFI of `qfi_eps` must match it
+
+* in the paper box, at 200 fixed-seed log-uniform points in [0.1, 10]^3, at
+  40 digits (worst errors 1.8e-14 in all three);
+* over the domain, at the first 1 000 fixed-seed log-uniform draws in
+  [1e-8, 1e6]^3 wherever `qfi_eps` gives a normal positive QFI (512
+  points), at 40 digits (worst 1.04e-13, at (0.067, 5.9e-4, 88));
+* at large eps, eps in {1e8, 1e12, 1e16} with (m, k) in {(1, 1), (0.1, 3),
+  (5, 0.5)}, at 60 digits, since the reference's own differences cancel
+  about 33 digits at eps = 1e16 (worst 1.04e-14).
 """
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
 
-from cosmo_qfi import ModelParams, qfi_eps
+from cosmo_qfi import CosmoQfiError, ModelParams, qfi_eps
 
-POINTS = 200
-BOX = (0.1, 10.0)
-BOUNDS = {"X": 1e-12, "dX": 1e-11, "qfi": 1e-11}
+NAMES = ("X", "dX", "qfi")
+BOX_BOUND = 1e-13
+DOMAIN_BOUND = 1e-12
+DOMAIN_DRAWS = 1000
+LARGE_EPS = [(eps, m, k) for eps in (1e8, 1e12, 1e16)
+             for m, k in ((1.0, 1.0), (0.1, 3.0), (5.0, 0.5))]
 
 
 def _reference_weight(eps, m, k):
@@ -41,21 +52,30 @@ def _reference_weight(eps, m, k):
     return mixing * chi ** 2
 
 
-def _box_points():
-    rng = random.Random(2024)
-    lo, hi = (math.log(b) for b in BOX)
-    return [tuple(math.exp(rng.uniform(lo, hi)) for _ in range(3)) for _ in range(POINTS)]
+def _log_uniform(seed, count, lo, hi):
+    rng = random.Random(seed)
+    lo, hi = math.log(lo), math.log(hi)
+    return [tuple(math.exp(rng.uniform(lo, hi)) for _ in range(3)) for _ in range(count)]
 
 
-@pytest.fixture(scope="module")
-def worst_errors():
-    worst = dict.fromkeys(BOUNDS, 0.0)
-    with mp.workdps(40):
-        for eps, m, k in _box_points():
-            res = qfi_eps(ModelParams(eps, m, k))
+def _worst_errors(points, digits=40):
+    """Worst relative error of each figure over the points where `qfi_eps`
+    gives a normal positive QFI, and how many points those were."""
+    worst = dict.fromkeys(NAMES, 0.0)
+    worst["points"] = 0
+    with mp.workdps(digits):
+        for eps, m, k in points:
+            try:
+                res = qfi_eps(ModelParams(eps, m, k))
+            except CosmoQfiError:
+                continue
+            if not res.qfi >= sys.float_info.min:
+                continue
+            worst["points"] += 1
             eps, m, k = mp.mpf(eps), mp.mpf(m), mp.mpf(k)
             X = _reference_weight(eps, m, k)
-            dX = mp.diff(lambda e: _reference_weight(e, m, k), eps)
+            dX = mp.diff(lambda e: _reference_weight(e, m, k), eps,
+                         h=eps * mp.mpf(2) ** (-mp.mp.prec // 2))
             qfi = dX ** 2 / (X * (1 + X) ** 2)
             for name, got, ref in (("X", res.state.X, X), ("dX", res.state.dX, dX),
                                    ("qfi", res.qfi, qfi)):
@@ -63,6 +83,34 @@ def worst_errors():
     return worst
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDS))
-def test_closed_form_matches_the_40_digit_reference(worst_errors, name):
-    assert worst_errors[name] < BOUNDS[name]
+@pytest.fixture(scope="module")
+def box_errors():
+    return _worst_errors(_log_uniform(2024, 200, 0.1, 10.0))
+
+
+@pytest.fixture(scope="module")
+def domain_errors():
+    return _worst_errors(_log_uniform(1, DOMAIN_DRAWS, 1e-8, 1e6))
+
+
+@pytest.fixture(scope="module")
+def large_eps_errors():
+    return _worst_errors(LARGE_EPS, digits=60)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_form_matches_the_40_digit_reference(box_errors, name):
+    assert box_errors["points"] == 200
+    assert box_errors[name] < BOX_BOUND
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_form_matches_the_reference_over_the_domain(domain_errors, name):
+    assert domain_errors["points"] >= 500
+    assert domain_errors[name] < DOMAIN_BOUND
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_closed_form_matches_the_reference_at_large_eps(large_eps_errors, name):
+    assert large_eps_errors["points"] == len(LARGE_EPS)
+    assert large_eps_errors[name] < DOMAIN_BOUND

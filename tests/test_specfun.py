@@ -1,4 +1,4 @@
-"""Special-function layer: identities, stability ranges, pole handling."""
+"""The log-Gamma of the Gamma route: identities, accuracy, pole handling."""
 
 import math
 
@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from cosmo_qfi import DegenerateParameterError
-from cosmo_qfi.specfun import (
-    coth,
-    coth_minus_inv,
-    log_gamma,
-    log_sinh_abs,
-    sinh_over_x,
-)
+from cosmo_qfi.specfun import log_gamma
 
 mp.mp.dps = 30
 
@@ -80,42 +74,3 @@ def test_imaginary_axis_identity():
         direct = 2.0 * log_gamma(1j * y).real
         closed = math.log(math.pi / (y * math.sinh(math.pi * y)))
         assert abs(direct - closed) <= 1e-11 * max(1.0, abs(closed))
-
-
-def test_log_sinh_abs_examples():
-    assert math.isclose(log_sinh_abs(1.0), math.log(math.sinh(1.0)), rel_tol=1e-13)
-    assert log_sinh_abs(-1.0) == log_sinh_abs(1.0)
-    assert math.isclose(log_sinh_abs(1000.0), 1000.0 - math.log(2.0), rel_tol=1e-15)
-    assert math.isfinite(log_sinh_abs(1e6))
-    with pytest.raises(DegenerateParameterError, match="log_sinh_abs undefined at x = 0"):
-        log_sinh_abs(0.0)
-
-
-def test_log_sinh_abs_range_sweep():
-    for x in np.geomspace(1e-6, 30.0, 500):
-        assert abs(log_sinh_abs(float(x)) - math.log(math.sinh(x))) <= 1e-13 * max(
-            1.0, abs(math.log(math.sinh(x)))
-        )
-
-
-def test_coth():
-    assert math.isclose(coth(1.0), math.cosh(1.0) / math.sinh(1.0), rel_tol=1e-14)
-    assert coth(-1.0) == -coth(1.0)
-    assert coth(50.0) == 1.0
-    assert coth(-50.0) == -1.0
-    with pytest.raises(DegenerateParameterError, match="coth undefined at x = 0"):
-        coth(0.0)
-
-
-def test_sinh_over_x_series_joins_direct():
-    for x in [1e-8, 1e-5, 9.9e-4, 1.01e-3, 0.5, 3.0, -2.0]:
-        ref = float(mp.sinh(x) / x)
-        assert math.isclose(sinh_over_x(x), ref, rel_tol=1e-14), x
-    assert sinh_over_x(0.0) == 1.0
-
-
-def test_coth_minus_inv_series_joins_direct():
-    for x in [1e-9, 1e-5, 0.05, 0.099, 0.101, 0.5, 5.0, -0.05, -2.0]:
-        ref = float(mp.coth(x) - 1.0 / mp.mpf(x))
-        assert math.isclose(coth_minus_inv(x), ref, rel_tol=1e-12), x
-    assert coth_minus_inv(0.0) == 0.0
