@@ -29,7 +29,6 @@ from ._kernel import BACKEND as kernel_backend
 from .bogoliubov import (
     ANALYTIC,
     FINITE_DIFFERENCE,
-    BogoliubovPair,
     CreationFactor,
     coefficients,
     dX_deps_analytic,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANALYTIC",
-    "BogoliubovPair",
     "CosmoQfiError",
     "CreationFactor",
     "DEFAULT_TRIALS",

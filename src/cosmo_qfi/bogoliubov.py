@@ -3,10 +3,12 @@
 The particle-creation strength is computed along two independent routes that
 must agree (the verification suite enforces this):
 
-* `coefficients` assembles the complex mixing coefficients A, B from
-  log-Gamma factors, entirely in log space;
+* `coefficients` sums the four log-Gamma terms of ln |B/A|^2 that do not
+  cancel between A and B, entirely in log space;
 * `mixing_sq_sinh` evaluates the closed sinh form of |B/A|^2 as a sum of
   logs in which nothing cancels.
+
+Both routes end in `ratio_sq`, the one checked exponential.
 
 The excitation weight X = |B/A|^2 * chi_abs^2 is what the reduced probe state
 sees.  `_weight` is its only statement, on the sinh route; at m_tilde = 0 it
@@ -30,15 +32,10 @@ FINITE_DIFFERENCE = "finite_difference"
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 _LOG_TWO_PI = math.log(_TWO_PI)
-# The log-Gamma sum loses ~1e-15 relative per unit of zeta_pp: 3.8e-11 at most
-# up to this limit over 20 000 log-uniform points in [1e-8, 1e6]^3.
+# The log-Gamma sum loses ~1e-15 relative per unit of zeta_pp: against the
+# sinh route, 3.6e-11 at most up to this limit over 20 000 log-uniform points
+# in [1e-8, 1e6]^3.
 _GAMMA_ZETA_PP_MAX = 5e4
-
-
-class BogoliubovPair(namedtuple("BogoliubovPair", ("log_abs_A", "log_abs_B"))):
-    """Log-magnitudes of the mixing coefficients."""
-
-    __slots__ = ()
 
 
 class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
@@ -49,11 +46,17 @@ class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
     __slots__ = ()
 
 
-def coefficients(p: ModelParams) -> BogoliubovPair:
-    """Mixing coefficients A, B via log-Gamma.
+def coefficients(p: ModelParams) -> float:
+    """ln |B/A|^2 via log-Gamma:
 
-    Requires m_tilde > 0 (no mixing happens in the conformally invariant
-    limit and the Gamma arguments degenerate) and zeta_pp <= 5e4.
+        2 Re[ln Gamma(1 - i zeta_pp) + ln Gamma(-i zeta_pm)
+             - ln Gamma(1 + i zeta_mm) - ln Gamma(i zeta_mp)].
+
+    The common factor Gamma(1 - i omega_in), the conjugate pair
+    Gamma(-/+ i omega_out) and the prefactor sqrt(omega_out/omega_in) of A
+    and B cancel in |B/A| and are not evaluated.  Requires m_tilde > 0 (no
+    mixing happens in the conformally invariant limit and the Gamma
+    arguments degenerate) and zeta_pp <= 5e4.
     """
     if p.m_tilde == 0.0:
         raise DegenerateParameterError("coefficients undefined at m_tilde = 0")
@@ -61,27 +64,20 @@ def coefficients(p: ModelParams) -> BogoliubovPair:
     if f.zeta_pp > _GAMMA_ZETA_PP_MAX:
         raise DegenerateParameterError(
             f"Gamma route cannot resolve |B/A|^2 past zeta_pp = {_GAMMA_ZETA_PP_MAX:g}")
-    half_log_pref = 0.5 * math.log(f.omega_out / f.omega_in)
-    common = log_gamma(1.0 - 1j * f.omega_in)
-    log_A = common + log_gamma(-1j * f.omega_out) \
-        - log_gamma(1.0 - 1j * f.zeta_pp) - log_gamma(-1j * f.zeta_pm)
-    log_B = common + log_gamma(1j * f.omega_out) \
+    return 2.0 * (
+        log_gamma(1.0 - 1j * f.zeta_pp) + log_gamma(-1j * f.zeta_pm)
         - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
-    return BogoliubovPair(log_A.real + half_log_pref, log_B.real + half_log_pref)
+    ).real
 
 
-def _exp_checked(log_value: float) -> float:
+def ratio_sq(log_ratio_sq: float) -> float:
+    """|B/A|^2 from its logarithm; raises where it overflows double precision."""
     try:
-        return math.exp(log_value)
+        return math.exp(log_ratio_sq)
     except OverflowError:
         raise DegenerateParameterError(
-            f"magnitude exp({log_value:.1f}) overflows double precision"
+            f"magnitude exp({log_ratio_sq:.1f}) overflows double precision"
         ) from None
-
-
-def ratio_sq(pair: BogoliubovPair) -> float:
-    """|B/A|^2 from a coefficient pair."""
-    return _exp_checked(2.0 * (pair.log_abs_B - pair.log_abs_A))
 
 
 def _log_tail(z: float) -> float:
@@ -112,7 +108,7 @@ def _mixing_sq_sinh(f: FrequencySet) -> float:
         - _TWO_PI * f.zeta_pm + log_even
         + _log_tail(f.zeta_mp) - _log_tail(f.zeta_pp) - _log_tail(f.zeta_pm)
     )
-    return _exp_checked(log_total)
+    return ratio_sq(log_total)
 
 
 def mixing_sq_sinh(p: ModelParams) -> float:

@@ -2,19 +2,21 @@
 
 Integrates the mode equation directly across the expansion epoch and reads
 the mixing coefficients off the asymptotic plane waves.  The in-mode enters
-as exp(-i omega_in eta).  At the far end the solution is matched to
+as exp(-i omega_in eta).  At the far end it is
 
     A exp(-i omega_out eta) + B exp(+i omega_out eta),
 
-which gives |B/A|^2.  The mode equation is the second-order form of the
-Dirac system i chi' = -H chi, H = [[M, k], [k, -M]], M = m a(eta), with
-chi = (psi, v) and v = -(i psi' + M psi)/k (see `_kernel.pure`).  So the
-endpoint state also gives the spinor, and its projections alpha and beta
-onto the eigenspinors of the oracle's own H_out give the excitation weight
-X = |beta/alpha|^2 = |B/A|^2 chi^2, with chi never taken from the closed
-form.  The verification suite compares X with the closed forms.  Only
-magnitude ratios are meaningful here; overall phase conventions of the exact
-mode functions are not reproduced.
+so the endpoint numbers plus, minus = w psi +/- i psi' (w = omega_out) are
+2 w A exp(-i w eta) and 2 w B exp(+i w eta), and |B/A| = |minus/plus|.  The
+mode equation is the second-order form of the Dirac system i chi' = -H chi,
+H = [[M, k], [k, -M]], M = m a(eta), with chi = (psi, v) and
+v = -(i psi' + M psi)/k (see `_kernel.pure`).  The endpoint spinor's
+projections onto the eigenspinors (k, -(w + mu)) and (w + mu, k) of the
+oracle's own H_out are (w + mu) plus/k and minus, by k^2 + mu^2 = w^2, so the
+excitation weight is X = (k/(w + mu))^2 |minus/plus|^2 = |B/A|^2 chi^2, with
+chi never read from the closed form.  The verification suite compares X with
+the closed forms.  Only magnitude ratios are meaningful here; overall phase
+conventions of the exact mode functions are not reproduced.
 
 Only the in-mode is integrated.  H is Hermitian, so the Dirac norm
 |psi|^2 + |v|^2 of that one solution is exactly conserved, and its drift
@@ -55,7 +57,7 @@ ABS_TOL = 1e-14
 class MatchResult(namedtuple("MatchResult", ("X", "fit_residual", "norm_drift", "steps"))):
     """Excitation weight read off the oracle and the quality of its match.
 
-    X is the excitation weight |beta/alpha|^2 read off the endpoint spinor.
+    X is the excitation weight read off the endpoint spinor.
     fit_residual measures how well the matched superposition reproduces the
     integrated solution and its derivative one backoff interval before the
     endpoint, relative to |A|.  norm_drift bounds the relative drift of the
@@ -66,10 +68,10 @@ class MatchResult(namedtuple("MatchResult", ("X", "fit_residual", "norm_drift", 
     __slots__ = ()
 
 
-def _check_window(p: ModelParams, span: float, eta0: float) -> None:
-    a_out = scale_factor(span, p.eps)
-    a_in = scale_factor(eta0, p.eps)
-    if abs(a_out - (1.0 + 2.0 * p.eps)) > _ASYMPTOTE_TOL or abs(a_in - 1.0) > _ASYMPTOTE_TOL:
+def _check_window(p: ModelParams, span: float) -> None:
+    # tanh is odd, so a(-span) - 1 is also the deviation of a(span) from
+    # 1 + 2 eps; read at the small end, it carries no rounding of 1 + 2 eps.
+    if abs(scale_factor(-span, p.eps) - 1.0) > _ASYMPTOTE_TOL:
         raise DegenerateParameterError(
             f"a(eta) not asymptotic at window ends (span {span}, eps {p.eps})"
         )
@@ -98,7 +100,7 @@ def integrate_mode(p: ModelParams) -> MatchResult:
         raise DegenerateParameterError("integrate_mode requires m_tilde > 0")
     span, rel_tol, abs_tol = ETA_SPAN, REL_TOL, ABS_TOL
     eta0 = -span
-    _check_window(p, span, eta0)
+    _check_window(p, span)
     f = frequencies(p)
 
     y = _in_mode_state(f.omega_in, eta0)
@@ -117,26 +119,20 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     dpsi = complex(y[2], y[3])
 
     w = f.omega_out
-    a_coef = (w * psi + 1j * dpsi) * cmath.exp(1j * w * span) / (2.0 * w)
-    b_coef = (w * psi - 1j * dpsi) * cmath.exp(-1j * w * span) / (2.0 * w)
-    if a_coef == 0:
+    plus, minus = w * psi + 1j * dpsi, w * psi - 1j * dpsi
+    if plus == 0:
         raise IntegrationError("matched transmission coefficient vanished")
-    # The spinor's projections onto the out-spinors (k, -(w + mu)) and
-    # (w + mu, k) of H_out; their common norm hypot(k, w + mu) cancels in X.
-    k, wm = p.k_tilde, w + f.mu_out
-    v = (-1j * dpsi - f.mu_out * psi) / k
-    alpha = k * psi - wm * v
-    beta = wm * psi + k * v
 
-    # Consistency of the match: the superposition must reproduce the solution
-    # at the checkpoint, where it was not fitted.
-    phase = cmath.exp(-1j * w * checkpoint)
-    psi_fit = a_coef * phase + b_coef / phase
-    dpsi_fit = -1j * w * a_coef * phase + 1j * w * b_coef / phase
-    residual = max(abs(psi_fit - psi_c), abs(dpsi_fit - dpsi_c) / w) / abs(a_coef)
+    # Consistency of the match: the plane waves, carried back to the
+    # checkpoint, must reproduce the solution there, where they were not fitted.
+    rot = cmath.exp(1j * w * (span - checkpoint))
+    fwd, back = plus * rot, minus / rot
+    residual = max(
+        abs(fwd + back - 2.0 * w * psi_c), abs(fwd - back - 2j * dpsi_c)
+    ) / abs(plus)
 
     return MatchResult(
-        X=abs(beta / alpha) ** 2,
+        X=(p.k_tilde / (w + f.mu_out)) ** 2 * abs(minus / plus) ** 2,
         fit_residual=residual,
         # Leg 2 measures its drift against the checkpoint norm N_c, so
         # |N - N_0| <= d2 N_c + d1 N_0 <= (d1 + d2 (1 + d1)) N_0: the

@@ -2,7 +2,8 @@
 
 Each check compares two independent computations of the same quantity:
 
-* Gamma route versus sinh closed form for the mixing ratio;
+* Gamma route (the four log-Gamma terms of ln |B/A|^2) versus sinh closed
+  form for the mixing ratio;
 * literal two-outcome QFI versus its simplified algebraic form;
 * classical Fisher information of the eigenprojector measurement on the
   probe state `qfi_eps` returns versus the QFI it reports with that state;
@@ -86,7 +87,7 @@ def grid_estimates(grid_points: int = 10) -> list[tuple[ModelParams, EstimationR
 
 
 def check_gamma_vs_sinh(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
-    """Mixing ratio from log-Gamma coefficients against the sinh closed form."""
+    """Mixing ratio from its four log-Gamma terms against the sinh closed form."""
     worst = max(
         _rel_diff(ratio_sq(coefficients(p)), mixing_sq_sinh(p)) for p, _ in grid
     )

@@ -22,6 +22,8 @@ from cosmo_qfi import (
     mixing_sq_sinh,
     ratio_sq,
 )
+from cosmo_qfi import bogoliubov
+from cosmo_qfi.specfun import log_gamma
 
 mp.mp.dps = 40
 
@@ -96,9 +98,26 @@ def test_coefficients_reject_massless():
 
 
 def test_coefficients_fields_finite():
-    pair = coefficients(ModelParams(2.0, 0.3, 0.7))
-    for v in pair:
-        assert math.isfinite(v)
+    log_ratio_sq = coefficients(ModelParams(2.0, 0.3, 0.7))
+    assert type(log_ratio_sq) is float and math.isfinite(log_ratio_sq)
+
+
+def test_coefficients_takes_four_log_gamma_terms(monkeypatch):
+    # The common, conjugate and prefactor terms of A and B cancel in |B/A|.
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(bogoliubov, "log_gamma", counted)
+    coefficients(ModelParams(1.0, 1.0, 1.0))
+    assert len(calls) == 4
+
+
+def test_ratio_sq_raises_where_the_magnitude_overflows():
+    with pytest.raises(DegenerateParameterError, match="overflows double precision"):
+        ratio_sq(710.0)
 
 
 def test_large_eps_quadratic_growth():

@@ -161,6 +161,16 @@ def test_window_too_small_raises():
         integrate_mode(ModelParams(600.0, 0.5, 1.0))
 
 
+def test_window_check_admits_an_asymptotic_window():
+    # At span 15 both ends of a(eta) miss their limits by 534 (1 - tanh 15)
+    # = 9.994e-11, inside the 1e-10 tolerance; reading a(15) against 1069
+    # would add the rounding at ulp(1069) and refuse the window.
+    p = ModelParams(534.0, 1e-3, 0.1)
+    assert _rel(integrate_mode(p).X, excitation_weight(p).X) < verify.ODE_TOL
+    with pytest.raises(DegenerateParameterError, match="not asymptotic at window ends"):
+        integrate_mode(ModelParams(535.0, 1e-3, 0.1))
+
+
 def test_requires_massive_field():
     with pytest.raises(DegenerateParameterError, match="m_tilde > 0"):
         integrate_mode(ModelParams(1.0, 0.0, 1.0))

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from cosmo_qfi import (
-    BogoliubovPair,
     CreationFactor,
     EstimationResult,
     FrequencySet,
@@ -28,7 +27,6 @@ FIXED = ModelParams(1.0, 1.0, 1.0)
 FIELDS = {
     FrequencySet: ("omega_in", "omega_out", "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm",
                    "mu_out", "chi_abs"),
-    BogoliubovPair: ("log_abs_A", "log_abs_B"),
     CreationFactor: ("X", "dX_deps"),
     ProbeState: ("p0", "p1", "X", "dX"),
     EstimationResult: ("qfi", "state", "bound"),

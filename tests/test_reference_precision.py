@@ -19,6 +19,11 @@ and 60 digits.  X, dX/deps and the QFI of `qfi_eps` must match it
 * at large eps, eps in {1e8, 1e12, 1e16} with (m, k) in {(1, 1), (0.1, 3),
   (5, 0.5)}, at 60 digits, since the reference's own differences cancel
   about 33 digits at eps = 1e16 (worst 1.04e-14).
+
+The Gamma route's |B/A|^2, `ratio_sq(coefficients(p))`, must match the
+reference's at the same points up to its zeta_pp limit: all 200 box points
+(worst 8.5e-14) and 487 of the 512 domain points (worst 3.4e-11), none at
+large eps.
 """
 
 import math
@@ -28,17 +33,20 @@ import sys
 import mpmath as mp
 import pytest
 
-from cosmo_qfi import CosmoQfiError, ModelParams, qfi_eps
+from cosmo_qfi import CosmoQfiError, ModelParams, coefficients, frequencies, qfi_eps, ratio_sq
 
 NAMES = ("X", "dX", "qfi")
 BOX_BOUND = 1e-13
 DOMAIN_BOUND = 1e-12
 DOMAIN_DRAWS = 1000
+# The Gamma route raises past this zeta_pp rather than lose 1e-10.
+GAMMA_ZETA_PP_MAX = 5e4
 LARGE_EPS = [(eps, m, k) for eps in (1e8, 1e12, 1e16)
              for m, k in ((1.0, 1.0), (0.1, 3.0), (5.0, 0.5))]
 
 
-def _reference_weight(eps, m, k):
+def _reference_mixing(eps, m, k):
+    """|B/A|^2 and chi^2."""
     mu_out = m * (1 + 2 * eps)
     omega_in, omega_out = mp.hypot(k, m), mp.hypot(k, mu_out)
     omega_plus, omega_minus = (omega_out + omega_in) / 2, (omega_out - omega_in) / 2
@@ -49,7 +57,12 @@ def _reference_weight(eps, m, k):
         / (mp.gamma(1 + 1j * z_mm) * mp.gamma(1j * z_mp))
     ) ** 2
     chi = (omega_out - mu_out) / k
-    return mixing * chi ** 2
+    return mixing, chi ** 2
+
+
+def _reference_weight(eps, m, k):
+    mixing, chi_sq = _reference_mixing(eps, m, k)
+    return mixing * chi_sq
 
 
 def _log_uniform(seed, count, lo, hi):
@@ -60,20 +73,27 @@ def _log_uniform(seed, count, lo, hi):
 
 def _worst_errors(points, digits=40):
     """Worst relative error of each figure over the points where `qfi_eps`
-    gives a normal positive QFI, and how many points those were."""
-    worst = dict.fromkeys(NAMES, 0.0)
-    worst["points"] = 0
+    gives a normal positive QFI, and how many points those were; the Gamma
+    route's |B/A|^2 is counted apart, over those points it can resolve."""
+    worst = dict.fromkeys((*NAMES, "gamma"), 0.0)
+    worst["points"] = worst["gamma_points"] = 0
     with mp.workdps(digits):
         for eps, m, k in points:
+            p = ModelParams(eps, m, k)
             try:
-                res = qfi_eps(ModelParams(eps, m, k))
+                res = qfi_eps(p)
             except CosmoQfiError:
                 continue
             if not res.qfi >= sys.float_info.min:
                 continue
             worst["points"] += 1
             eps, m, k = mp.mpf(eps), mp.mpf(m), mp.mpf(k)
-            X = _reference_weight(eps, m, k)
+            mixing, chi_sq = _reference_mixing(eps, m, k)
+            X = mixing * chi_sq
+            if frequencies(p).zeta_pp <= GAMMA_ZETA_PP_MAX:
+                worst["gamma_points"] += 1
+                gamma = ratio_sq(coefficients(p))
+                worst["gamma"] = max(worst["gamma"], float(abs(gamma - mixing) / mixing))
             dX = mp.diff(lambda e: _reference_weight(e, m, k), eps,
                          h=eps * mp.mpf(2) ** (-mp.mp.prec // 2))
             qfi = dX ** 2 / (X * (1 + X) ** 2)
@@ -114,3 +134,14 @@ def test_closed_form_matches_the_reference_over_the_domain(domain_errors, name):
 def test_closed_form_matches_the_reference_at_large_eps(large_eps_errors, name):
     assert large_eps_errors["points"] == len(LARGE_EPS)
     assert large_eps_errors[name] < DOMAIN_BOUND
+
+
+def test_gamma_route_matches_the_reference_in_the_box(box_errors):
+    assert box_errors["gamma_points"] == 200
+    assert box_errors["gamma"] < 1e-12
+
+
+def test_gamma_route_matches_the_reference_over_the_domain(domain_errors):
+    # 25 of the 512 points lie past the route's zeta_pp limit.
+    assert domain_errors["gamma_points"] == 487
+    assert domain_errors["gamma"] < 1e-10
