@@ -15,6 +15,9 @@ sees.  `_weight` is its only statement, on the sinh route; at m_tilde = 0 it
 takes the generic path, where zeta_mp = 0 gives the exact zero.  Its
 derivative in the expansion parameter ships in two independent
 implementations (exact chain rule and Richardson finite differences).
+`_dlnX_deps` is the one statement of the chain rule, d ln X/d eps, so a
+probe evaluates X once and `excitation_weight` forms dX = X * d ln X/d eps
+from it; `dX_deps_analytic` is the same product for callers that hold no X.
 """
 
 from __future__ import annotations
@@ -49,12 +52,17 @@ class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
 def coefficients(p: ModelParams) -> float:
     """ln |B/A|^2 via log-Gamma:
 
-        2 Re[ln Gamma(1 - i zeta_pp) + ln Gamma(-i zeta_pm)
-             - ln Gamma(1 + i zeta_mm) - ln Gamma(i zeta_mp)].
+        2 Re[ln Gamma(1 + i zeta_pp) + ln Gamma(i zeta_pm)
+             - ln Gamma(1 - i zeta_mm) - ln Gamma(i zeta_mp)].
 
-    The common factor Gamma(1 - i omega_in), the conjugate pair
-    Gamma(-/+ i omega_out) and the prefactor sqrt(omega_out/omega_in) of A
-    and B cancel in |B/A| and are not evaluated.  Requires m_tilde > 0 (no
+    These are the terms of |Gamma(1 - i zeta_pp) Gamma(-i zeta_pm)|^2 /
+    |Gamma(1 + i zeta_mm) Gamma(i zeta_mp)|^2, the first three taken at the
+    conjugate argument: Re ln Gamma(conj z) = Re ln Gamma(z), and with
+    zeta_mm <= 0 all four arguments lie in the upper half-plane, where
+    `log_gamma` needs no conjugate call.  The common factor
+    Gamma(1 - i omega_in), the conjugate pair Gamma(-/+ i omega_out) and the
+    prefactor sqrt(omega_out/omega_in) of A and B cancel in |B/A| and are not
+    evaluated.  Requires m_tilde > 0 (no
     mixing happens in the conformally invariant limit and the Gamma
     arguments degenerate) and zeta_pp <= 5e4.
     """
@@ -65,8 +73,8 @@ def coefficients(p: ModelParams) -> float:
         raise DegenerateParameterError(
             f"Gamma route cannot resolve |B/A|^2 past zeta_pp = {_GAMMA_ZETA_PP_MAX:g}")
     return 2.0 * (
-        log_gamma(1.0 - 1j * f.zeta_pp) + log_gamma(-1j * f.zeta_pm)
-        - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
+        log_gamma(1.0 + 1j * f.zeta_pp) + log_gamma(1j * f.zeta_pm)
+        - log_gamma(1.0 - 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
     ).real
 
 
@@ -125,17 +133,11 @@ def _weight(f: FrequencySet) -> float:
     return _mixing_sq_sinh(f) * f.chi_abs * f.chi_abs
 
 
-def dX_deps_analytic(p: ModelParams) -> float:
-    """Exact chain-rule derivative of the excitation weight in eps.
-
-    d ln X = zeta_pp' G - zeta_mm' S with zeta_pp' > 0 > zeta_mm' and G,
-    S > 0, so every term is non-negative and dX > 0 wherever X > 0.
-    Requires X > 0, so m_tilde > 0.
-    """
+def _dlnX_deps(p: ModelParams) -> float:
+    # d ln X/d eps = zeta_pp' G - zeta_mm' S with zeta_pp' > 0 > zeta_mm' and
+    # G, S > 0, so every term is non-negative.  The one statement of the
+    # derivative chain; requires m_tilde > 0, and its callers hold X > 0.
     f = frequencies(p)
-    X = _weight(f)
-    if X == 0.0:
-        raise DegenerateParameterError("dX_deps_analytic requires X > 0")
     m = p.m_tilde
     dz_p = 0.5 * domega_out_deps(p) + m  # zeta_pp' and zeta_mp'
     dz_m = -m * p.k_tilde * f.chi_abs / f.omega_out  # zeta_pm' and zeta_mm'
@@ -158,7 +160,20 @@ def dX_deps_analytic(p: ModelParams) -> float:
     else:
         D = _dlog_tail(a) - 1.0 / a
     S = 1.0 / f.zeta_pm + _TWO_PI + _dlog_tail(f.zeta_pm) + D
-    return X * (dz_p * G - dz_m * S)
+    return dz_p * G - dz_m * S
+
+
+def dX_deps_analytic(p: ModelParams) -> float:
+    """Exact chain-rule derivative of the excitation weight in eps,
+    X * d ln X/d eps.
+
+    Every term of d ln X/d eps is non-negative, so dX > 0 wherever X > 0.
+    Requires X > 0, so m_tilde > 0.
+    """
+    X = _weight(frequencies(p))
+    if X == 0.0:
+        raise DegenerateParameterError("dX_deps_analytic requires X > 0")
+    return X * _dlnX_deps(p)
 
 
 def dX_deps_fd(p: ModelParams) -> float:
@@ -193,7 +208,7 @@ def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationF
     if X == 0.0:
         dX = 0.0
     elif deriv_method == ANALYTIC:
-        dX = dX_deps_analytic(p)
+        dX = X * _dlnX_deps(p)
     else:
         dX = dX_deps_fd(p)
-    return CreationFactor(X, dX)
+    return tuple.__new__(CreationFactor, (X, dX))

@@ -96,11 +96,12 @@ def frequencies(p: ModelParams) -> FrequencySet:
     zeta_mp = omega_minus + me
     k_in = k / (omega_in + m)
     zeta_pm = m + 0.5 * (k * chi + k * k_in)
-    # Positional: keyword binding would double the cost of building the record.
-    return FrequencySet(
+    # Positional, through tuple.__new__: the generated constructor spends
+    # longer binding its arguments than building the tuple.
+    return tuple.__new__(FrequencySet, (
         omega_in, omega_out, zeta_pm + 2.0 * me, zeta_pm, zeta_mp,
         -chi * k_in * zeta_mp, mu_out, chi,
-    )
+    ))
 
 
 def domega_out_deps(p: ModelParams) -> float:

@@ -42,7 +42,7 @@ def probe(p: ModelParams, deriv_method: str = ANALYTIC) -> ProbeState:
     """Reduced particle-mode state at the given channel parameters."""
     cf = excitation_weight(p, deriv_method)
     p0 = 1.0 / (1.0 + cf.X)
-    return ProbeState(p0, cf.X * p0, cf.X, cf.dX_deps)
+    return tuple.__new__(ProbeState, (p0, cf.X * p0, cf.X, cf.dX_deps))
 
 
 def state_entropy(state: ProbeState) -> float:
@@ -89,4 +89,4 @@ def qfi_eps(
         raise DegenerateParameterError(
             f"bound 1/(trials*qfi) overflows at qfi={qfi!r}, trials={trials!r}"
         )
-    return EstimationResult(qfi, st, bnd)
+    return tuple.__new__(EstimationResult, (qfi, st, bnd))

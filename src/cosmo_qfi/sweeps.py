@@ -93,11 +93,16 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
 
 
 def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
-    # Built directly: `fixed._replace` costs more per point, and the
-    # constructor validates the point either way.
-    fields = {"eps": fixed.eps, "m_tilde": fixed.m_tilde, "k_tilde": fixed.k_tilde}
-    fields[variable] = value
-    return ModelParams(**fields)
+    # Positional: `fixed._replace` or a keyword dict costs more per point,
+    # and the constructor validates the point either way.
+    eps, m_tilde, k_tilde = fixed
+    if variable == "eps":
+        return ModelParams(value, m_tilde, k_tilde)
+    if variable == "m_tilde":
+        return ModelParams(eps, value, k_tilde)
+    if variable == "k_tilde":
+        return ModelParams(eps, m_tilde, value)
+    raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
 
 
 def _thread_count() -> int:
@@ -136,8 +141,8 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
                 _params_at(spec.fixed, spec.variable, value), spec.trials, deriv_method
             )
         except CosmoQfiError:
-            return SweepRow(value, math.nan, math.inf, math.nan, math.nan)
-        return SweepRow(value, q, b, s, p1)
+            return tuple.__new__(SweepRow, (value, math.nan, math.inf, math.nan, math.nan))
+        return tuple.__new__(SweepRow, (value, q, b, s, p1))
 
     workers = _thread_count()
     if workers > 1 and spec.points >= 32:

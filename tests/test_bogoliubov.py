@@ -22,7 +22,7 @@ from cosmo_qfi import (
     mixing_sq_sinh,
     ratio_sq,
 )
-from cosmo_qfi import bogoliubov
+from cosmo_qfi import bogoliubov, specfun
 from cosmo_qfi.specfun import log_gamma
 
 mp.mp.dps = 40
@@ -115,6 +115,25 @@ def test_coefficients_takes_four_log_gamma_terms(monkeypatch):
     assert len(calls) == 4
 
 
+def test_coefficients_takes_no_conjugate_log_gamma_call(monkeypatch):
+    # Every argument lies in the upper half-plane, so log_gamma never calls
+    # itself on a conjugate: 4 calls in all, where the lower-half-plane
+    # arguments 1 - i zeta_pp, -i zeta_pm and 1 + i zeta_mm would make 7.
+    p = ModelParams(1.0, 1.0, 1.0)
+    assert frequencies(p).zeta_mm < 0.0
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return log_gamma(z)
+
+    monkeypatch.setattr(specfun, "log_gamma", counted)  # the recursion's name
+    monkeypatch.setattr(bogoliubov, "log_gamma", counted)
+    coefficients(p)
+    assert len(calls) == 4
+    assert all(complex(z).imag >= 0.0 for z in calls)
+
+
 def test_ratio_sq_raises_where_the_magnitude_overflows():
     with pytest.raises(DegenerateParameterError, match="overflows double precision"):
         ratio_sq(710.0)
@@ -176,6 +195,22 @@ def test_excitation_weight_unit_point():
     assert math.isclose(mixing, FROZEN_MIXING[(1.0, 1.0, 1.0)], rel_tol=1e-12)
     assert math.isclose(cf.dX_deps, FROZEN_DX_UNIT, rel_tol=1e-11)
     assert math.isclose(cf.X, mixing * frequencies(p).chi_abs**2, rel_tol=1e-14)
+
+
+def test_excitation_weight_evaluates_the_mixing_once(monkeypatch):
+    # X and d ln X/d eps share one sinh chain: dX is formed from the X the
+    # weight already holds.
+    calls = []
+    mixing = bogoliubov._mixing_sq_sinh
+
+    def counted(f):
+        calls.append(f)
+        return mixing(f)
+
+    monkeypatch.setattr(bogoliubov, "_mixing_sq_sinh", counted)
+    cf = excitation_weight(ModelParams(1.0, 1.0, 1.0))
+    assert len(calls) == 1
+    assert cf.dX_deps > 0.0
 
 
 def test_excitation_weight_massless_and_heavy_momentum():

@@ -15,7 +15,11 @@ from cosmo_qfi import (
     ProbeState,
     SweepRow,
     SweepSpec,
+    excitation_weight,
+    frequencies,
     optimize,
+    probe,
+    qfi_eps,
     sweep,
 )
 from cosmo_qfi.sweeps import SWEEP_VARIABLES, _params_at
@@ -34,6 +38,16 @@ FIELDS = {
     OptimumResult: ("coordinate", "estimation", "boundary_warning"),
     MatchResult: ("X", "fit_residual", "norm_drift", "steps"),
     CheckResult: ("name", "worst", "tolerance", "points"),
+}
+
+
+# The results built past the generated constructor, which would check the
+# field count: each function at a point it returns.
+RESULTS = {
+    "frequencies": (frequencies, FrequencySet),
+    "excitation_weight": (excitation_weight, CreationFactor),
+    "probe": (probe, ProbeState),
+    "qfi_eps": (qfi_eps, EstimationResult),
 }
 
 
@@ -83,6 +97,27 @@ def test_validated_record_rejects_a_bad_value_however_built(cls, how):
         build(cls, good, dict(good._asdict(), **{field: bad}))
     with pytest.raises(AttributeError):  # nor can a built record take it later
         setattr(good, field, bad)
+
+
+def _assert_whole(rec, cls):
+    assert type(rec) is cls
+    assert len(rec) == len(type(rec)._fields)
+
+
+@pytest.mark.parametrize("m_tilde", [1.0, 0.0])
+@pytest.mark.parametrize("name", RESULTS)
+def test_result_record_has_every_field(name, m_tilde):
+    fn, cls = RESULTS[name]
+    _assert_whole(fn(ModelParams(1.0, m_tilde, 1.0)), cls)
+
+
+def test_sweep_rows_have_every_field():
+    rows = sweep(SweepSpec("m_tilde", 0.0, 1.0, 3, FIXED))
+    nan_rows = sweep(SweepSpec("eps", 1.0, 1e300, 3, FIXED))
+    assert rows[0].qfi == 0.0 and rows[0].bound == math.inf  # the m = 0 row
+    assert [math.isnan(r.qfi) for r in nan_rows] == [False, True, True]
+    for row in rows + nan_rows:
+        _assert_whole(row, SweepRow)
 
 
 def test_check_result_passed():

@@ -33,7 +33,10 @@ import sys
 import mpmath as mp
 import pytest
 
-from cosmo_qfi import CosmoQfiError, ModelParams, coefficients, frequencies, qfi_eps, ratio_sq
+from cosmo_qfi import (
+    CosmoQfiError, ModelParams, coefficients, dX_deps_analytic, excitation_weight, frequencies,
+    qfi_eps, ratio_sq,
+)
 
 NAMES = ("X", "dX", "qfi")
 BOX_BOUND = 1e-13
@@ -71,6 +74,9 @@ def _log_uniform(seed, count, lo, hi):
     return [tuple(math.exp(rng.uniform(lo, hi)) for _ in range(3)) for _ in range(count)]
 
 
+BOX_POINTS = _log_uniform(2024, 200, 0.1, 10.0)
+
+
 def _worst_errors(points, digits=40):
     """Worst relative error of each figure over the points where `qfi_eps`
     gives a normal positive QFI, and how many points those were; the Gamma
@@ -105,7 +111,7 @@ def _worst_errors(points, digits=40):
 
 @pytest.fixture(scope="module")
 def box_errors():
-    return _worst_errors(_log_uniform(2024, 200, 0.1, 10.0))
+    return _worst_errors(BOX_POINTS)
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +151,10 @@ def test_gamma_route_matches_the_reference_over_the_domain(domain_errors):
     # 25 of the 512 points lie past the route's zeta_pp limit.
     assert domain_errors["gamma_points"] == 487
     assert domain_errors["gamma"] < 1e-10
+
+
+def test_analytic_derivative_is_the_excitation_weights_to_the_bit():
+    # Both are X * d ln X/d eps from the one derivative chain.
+    for point in BOX_POINTS:
+        p = ModelParams(*point)
+        assert dX_deps_analytic(p) == excitation_weight(p).dX_deps, point
