@@ -1,8 +1,8 @@
 """Backend selection for the mode-equation integrator.
 
 The compiled kernel (`_mode_rk`, built from the hand-written `_mode_rk.c`)
-is preferred when it was built; the pure-Python twin is the fallback and can
-be forced with the COSMO_QFI_PURE environment variable (any nonempty value).
+runs when it was built; the pure-Python twin runs otherwise.  Tests pick a
+twin by setting `impl`, and tier-1 holds both to the same oracle results.
 Both expose the same two entry points, each advancing one solution of the
 mode equation, a 4-component state: `integrate_endpoint`, and
 `integrate_pair_drift`, which also tracks the solution's conserved Dirac norm
@@ -19,29 +19,25 @@ locals: that halves its Python operations per stage against float locals and
 gives the same floats as the generic reference stepper (see `pure`).
 
 Importing this package does not import the pure twin: `BACKEND` is set from
-the environment and the attempt to import `_mode_rk`, and `impl` resolves to
-`pure` on first access through the module `__getattr__` (PEP 562), so only
-the commands that integrate the mode equation compile it.  The status codes
-live here; both twins return them.
+the attempt to import `_mode_rk`, and `impl` resolves to `pure` on first
+access through the module `__getattr__` (PEP 562), so only the commands that
+integrate the mode equation compile it.  The status codes live here; both
+twins return them.
 """
 
 from __future__ import annotations
-
-import os
 
 STATUS_OK = 0
 STATUS_MAX_STEPS = 1
 STATUS_UNDERFLOW = 2
 STATUS_NONFINITE = 3
 
-BACKEND = "pure"
-if not os.environ.get("COSMO_QFI_PURE"):
-    try:
-        from . import _mode_rk as impl
-    except ImportError:
-        pass
-    else:
-        BACKEND = impl.BACKEND
+try:
+    from . import _mode_rk as impl
+except ImportError:
+    BACKEND = "pure"
+else:
+    BACKEND = impl.BACKEND
 
 
 def __getattr__(name: str):

@@ -11,10 +11,11 @@ must agree (the verification suite enforces this):
 Both routes end in `ratio_sq`, the one checked exponential.
 
 The excitation weight X = |B/A|^2 * chi_abs^2 is what the reduced probe state
-sees.  `_weight` is its only statement, on the sinh route; at m_tilde = 0 it
-takes the generic path, where zeta_mp = 0 gives the exact zero.  Its
-derivative in the expansion parameter ships in two independent
-implementations (exact chain rule and Richardson finite differences).
+sees.  `_weight` is its only statement, on the sinh route: `ratio_sq` of
+ln |B/A|^2 + ln chi^2, so X stays finite where |B/A|^2 overflows, and is the
+exact zero at m_tilde = 0, where zeta_mp = 0.  Its derivative in the
+expansion parameter ships in two independent implementations (exact chain
+rule and Richardson finite differences).
 `_dlnX_deps` is the one statement of the chain rule, d ln X/d eps, so a
 probe evaluates X once and `excitation_weight` forms dX = X * d ln X/d eps
 from it; `dX_deps_analytic` is the same product for callers that hold no X.
@@ -79,7 +80,7 @@ def coefficients(p: ModelParams) -> float:
 
 
 def ratio_sq(log_ratio_sq: float) -> float:
-    """|B/A|^2 from its logarithm; raises where it overflows double precision."""
+    """|B/A|^2 or X from its logarithm; raises where it overflows double precision."""
     try:
         return math.exp(log_ratio_sq)
     except OverflowError:
@@ -98,8 +99,8 @@ def _dlog_tail(z: float) -> float:
     return _TWO_PI * math.exp(-_TWO_PI * z) / -math.expm1(-_TWO_PI * z)
 
 
-def _mixing_sq_sinh(f: FrequencySet) -> float:
-    # |B/A|^2:
+def _log_mixing_sq(f: FrequencySet) -> float:
+    # ln |B/A|^2 with |B/A|^2 =
     #   (zeta_mp zeta_pp)/(zeta_mm zeta_pm)
     #     * sinh(pi zeta_mm) sinh(pi zeta_mp) / (sinh(pi zeta_pp) sinh(pi zeta_pm))
     # With a = -zeta_mm >= 0, the linear parts pi z - ln 2 of the four ln sinh
@@ -107,16 +108,15 @@ def _mixing_sq_sinh(f: FrequencySet) -> float:
     if f.zeta_mp == 0.0:
         # zeta_mp and sinh(pi zeta_mp) vanish together; the product is an
         # exact zero (the no-expansion / massless limits).
-        return 0.0
+        return -math.inf
     a = -f.zeta_mm
     # ln(sinh(pi a)/a) - (pi a - ln 2), which tends to ln 2 pi as a -> 0.
     log_even = math.log(-math.expm1(-_TWO_PI * a) / a) if a > 0.0 else _LOG_TWO_PI
-    log_total = (
+    return (
         math.log(f.zeta_pp) - math.log(f.zeta_pm) + math.log(f.zeta_mp)
         - _TWO_PI * f.zeta_pm + log_even
         + _log_tail(f.zeta_mp) - _log_tail(f.zeta_pp) - _log_tail(f.zeta_pm)
     )
-    return ratio_sq(log_total)
 
 
 def mixing_sq_sinh(p: ModelParams) -> float:
@@ -125,12 +125,14 @@ def mixing_sq_sinh(p: ModelParams) -> float:
     Returns exactly 0 for m_tilde = 0, where zeta_mp = 0.  Continuous through
     zeta_mm = 0, where the 1/zeta_mm prefactor cancels the sinh zero.
     """
-    return _mixing_sq_sinh(frequencies(p))
+    return ratio_sq(_log_mixing_sq(frequencies(p)))
 
 
-def _weight(f: FrequencySet) -> float:
-    # X = |B/A|^2 * chi_abs^2 without the derivative machinery.
-    return _mixing_sq_sinh(f) * f.chi_abs * f.chi_abs
+def _weight(p: ModelParams) -> float:
+    # ln chi^2 = 2 ln(k/(omega_out + mu_out)), taken apart: chi may underflow.
+    f = frequencies(p)
+    return ratio_sq(_log_mixing_sq(f) + 2.0 * (
+        math.log(p.k_tilde) - math.log(f.omega_out) - math.log1p(f.mu_out / f.omega_out)))
 
 
 def _dlnX_deps(p: ModelParams) -> float:
@@ -142,10 +144,11 @@ def _dlnX_deps(p: ModelParams) -> float:
     dz_p = 0.5 * domega_out_deps(p) + m  # zeta_pp' and zeta_mp'
     dz_m = -m * p.k_tilde * f.chi_abs / f.omega_out  # zeta_pm' and zeta_mm'
     # G: the zeta_pp and zeta_mp terms with d ln chi^2 folded in, and their
-    # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form.
+    # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form; no sum in it
+    # overflows, as omega_out + mu_out would.
     G = (
-        (f.omega_in * f.omega_in + m * (f.zeta_pp + f.zeta_mp))
-        / f.zeta_pp / f.zeta_mp / (f.omega_out + f.mu_out)
+        (f.omega_in / f.zeta_pp * (f.omega_in / f.zeta_mp) + m / f.zeta_pp + m / f.zeta_mp)
+        / f.omega_out / (1.0 + f.mu_out / f.omega_out)
         + _TWO_PI * -math.expm1(-_TWO_PI * f.omega_in) * math.exp(-_TWO_PI * f.zeta_mp)
         / (math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp))
     )
@@ -170,7 +173,7 @@ def dX_deps_analytic(p: ModelParams) -> float:
     Every term of d ln X/d eps is non-negative, so dX > 0 wherever X > 0.
     Requires X > 0, so m_tilde > 0.
     """
-    X = _weight(frequencies(p))
+    X = _weight(p)
     if X == 0.0:
         raise DegenerateParameterError("dX_deps_analytic requires X > 0")
     return X * _dlnX_deps(p)
@@ -188,7 +191,7 @@ def dX_deps_fd(p: ModelParams) -> float:
         raise DegenerateParameterError(f"fd step {h} too large at eps = {p.eps}")
 
     def X_at(e: float) -> float:
-        return _weight(frequencies(ModelParams(e, p.m_tilde, p.k_tilde)))
+        return _weight(ModelParams(e, p.m_tilde, p.k_tilde))
 
     d_full = (X_at(p.eps + h) - X_at(p.eps - h)) / (2.0 * h)
     d_half = (X_at(p.eps + 0.5 * h) - X_at(p.eps - 0.5 * h)) / h
@@ -204,7 +207,7 @@ def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationF
     """
     if deriv_method not in (ANALYTIC, FINITE_DIFFERENCE):
         raise ValueError(f"unknown derivative method {deriv_method!r}")
-    X = _weight(frequencies(p))
+    X = _weight(p)
     if X == 0.0:
         dX = 0.0
     elif deriv_method == ANALYTIC:

@@ -73,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Environment: COSMO_QFI_THREADS sets the worker thread count "
             "of sweep (0 or unset = one thread; the thread count never "
-            "changes output); "
-            "COSMO_QFI_PURE forces the pure-Python integrator backend."
+            "changes output)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -90,7 +90,7 @@ def frequencies(p: ModelParams) -> FrequencySet:
         )
     # No differences: omega_out - omega_in = (mu_out^2 - m^2)/(omega_out +
     # omega_in) and omega - mass = k^2/(omega + mass).
-    chi = k / (omega_out + mu_out)
+    chi = k / omega_out / (1.0 + mu_out / omega_out)  # omega_out + mu_out may overflow
     me = m * eps
     omega_minus = 2.0 * me * (m * (1.0 + eps) / (omega_out + omega_in))
     zeta_mp = omega_minus + me
@@ -105,6 +105,6 @@ def frequencies(p: ModelParams) -> FrequencySet:
 
 
 def domega_out_deps(p: ModelParams) -> float:
-    """d(omega_out)/d(eps) at fixed m_tilde, k_tilde: 2 m^2 (1+2 eps)/omega_out."""
+    """d(omega_out)/d(eps) at fixed m_tilde, k_tilde: 2 m mu_out/omega_out."""
     f = frequencies(p)
-    return 2.0 * p.m_tilde * p.m_tilde * (1.0 + 2.0 * p.eps) / f.omega_out
+    return 2.0 * p.m_tilde * (f.mu_out / f.omega_out)

@@ -211,7 +211,7 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path, capsys, monkeypat
     doc = json.loads(stdout_point)
 
     code_usage = main(["point", "--eps", "-1"])
-    code_degen = main(["point", "--eps", "1e300"])
+    code_degen = main(["point", "--eps", "1e308"])
     code_io = main(["sweep", "--var", "m", "--points", "5",
                     "--out", str(tmp_path / "missing" / "x.csv")])
     monkeypatch.setattr(verify, "IDENTITY_TOL", 1e-30)

@@ -20,6 +20,7 @@ from cosmo_qfi import (
     excitation_weight,
     frequencies,
     mixing_sq_sinh,
+    qfi_eps,
     ratio_sq,
 )
 from cosmo_qfi import bogoliubov, specfun
@@ -201,13 +202,13 @@ def test_excitation_weight_evaluates_the_mixing_once(monkeypatch):
     # X and d ln X/d eps share one sinh chain: dX is formed from the X the
     # weight already holds.
     calls = []
-    mixing = bogoliubov._mixing_sq_sinh
+    mixing = bogoliubov._log_mixing_sq
 
     def counted(f):
         calls.append(f)
         return mixing(f)
 
-    monkeypatch.setattr(bogoliubov, "_mixing_sq_sinh", counted)
+    monkeypatch.setattr(bogoliubov, "_log_mixing_sq", counted)
     cf = excitation_weight(ModelParams(1.0, 1.0, 1.0))
     assert len(calls) == 1
     assert cf.dX_deps > 0.0
@@ -287,6 +288,34 @@ def test_extreme_expansion_degenerates_cleanly():
                         mixing_sq_sinh(ModelParams(1e150, 1.0, 1.0)) / 1e300, rel_tol=1e-12)
     with pytest.raises(DegenerateParameterError, match="overflows double precision"):
         mixing_sq_sinh(ModelParams(1e300, 1.0, 1.0))
+
+
+def test_weight_stays_finite_where_the_mixing_overflows():
+    # X tends to a constant in eps: its one exponential takes ln |B/A|^2 +
+    # ln chi^2, which stays finite up to where frequencies overflow.
+    X16 = excitation_weight(ModelParams(1e16, 1.0, 1.0)).X
+    for eps in (1e150, 1e300, 6e307):
+        assert math.isclose(excitation_weight(ModelParams(eps, 1.0, 1.0)).X, X16,
+                            rel_tol=1e-12), eps
+
+
+@pytest.mark.parametrize("m, k", [(1.0, 1.0), (0.1, 3.0), (5.0, 0.5), (1e3, 1e-3)])
+def test_qfi_past_the_mixing_overflow_is_zero_or_typed(m, k):
+    # From eps = 1e155 up to the frequencies overflow, dX underflows to 0, so
+    # the QFI reads 0 with an infinite bound; past it the error is typed.
+    eps, raised = 1e155, 0
+    while eps < 1.7e308:
+        try:
+            est = qfi_eps(ModelParams(eps, m, k))
+        except DegenerateParameterError as exc:
+            assert "frequencies overflow" in str(exc)
+            raised += 1
+        else:
+            s = est.state
+            assert all(0.0 <= v < math.inf for v in (s.X, s.dX, s.p0, s.p1)), eps
+            assert (est.qfi, est.bound) == (0.0, math.inf), eps
+        eps *= 1.25
+    assert raised > 0
 
 
 def test_pole_error_reachable_through_gamma_route():

@@ -90,8 +90,8 @@ def test_degenerate_evaluation_exits_three(capsys):
     # The closed form's overflow and the fd step's guard raise the same typed
     # error, and the CLI maps both to exit 3 with a one-line diagnostic.
     cases = {
-        ("point", "--eps", "1e300"):
-            "error: magnitude exp(1376.4) overflows double precision\n",
+        ("point", "--eps", "1e308"):
+            "error: frequencies overflow for eps=1e+308, m_tilde=1.0, k_tilde=1.0\n",
         ("point", "--deriv-method", "fd", "--eps", "1e-5"):
             "error: fd step 1e-05 too large at eps = 1e-05\n",
     }
@@ -100,6 +100,17 @@ def test_degenerate_evaluation_exits_three(capsys):
         assert code == 3
         assert out == ""
         assert err == expected
+
+
+def test_point_evaluates_where_the_mixing_overflows(capsys):
+    # |B/A|^2 overflows past eps = 1.7e155, but X = |B/A|^2 chi^2 does not.
+    docs = []
+    for eps in ("1e16", "1e300"):
+        code, out, err = run(capsys, "point", "--eps", eps)
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert math.isclose(docs[1]["X"], docs[0]["X"], rel_tol=1e-12)
+    assert docs[1]["qfi"] == 0.0  # dX underflows
 
 
 def test_sweep_keeps_the_fd_step_row_as_nan(capsys, tmp_path):

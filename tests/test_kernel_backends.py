@@ -1,15 +1,8 @@
 """Backend parity: compiled kernel against the pure-Python twin and scipy."""
 
-import importlib.util
 import inspect
 import math
-import os
 import re
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 from scipy.integrate import solve_ivp
@@ -17,7 +10,7 @@ from scipy.integrate import solve_ivp
 from cosmo_qfi import _kernel
 from cosmo_qfi._kernel import pure
 
-COMPILED = "cosmo_qfi._kernel._mode_rk"
+COMPILED = "cosmo_qfi._kernel._mode_rk"  # the module the `compiled` fixture loads
 
 POINT = (1.0, 1.0, 1.0)  # eps, m, k
 POINTS = (POINT, (0.5, 5.0, 2.0))
@@ -36,32 +29,6 @@ def _ic(omega, eta0):
 
 def _omega_in(m, k):
     return math.hypot(m, k)
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernel: the package's own build if there is one, else the
-    shipped _mode_rk.c compiled into a temporary directory and loaded from
-    there, without registering it as a package module.  The C source is
-    maintained by hand, so any compiler warning fails the build."""
-    try:
-        return importlib.import_module(COMPILED)
-    except ImportError:
-        pass
-    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
-    include = Path(sysconfig.get_paths()["include"])
-    if cc is None or not (include / "Python.h").is_file():
-        pytest.skip("no C compiler or no Python headers to build the kernel")
-    source = Path(pure.__file__).with_name("_mode_rk.c")
-    target = tmp_path_factory.mktemp("kernel") / (
-        "_mode_rk" + sysconfig.get_config_var("EXT_SUFFIX"))
-    subprocess.run([cc, "-O3", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}",
-                    str(source), "-o", str(target)], check=True, capture_output=True,
-                   timeout=300)
-    spec = importlib.util.spec_from_file_location(COMPILED, target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(params=[pure.__name__, COMPILED])
@@ -277,16 +244,6 @@ def test_compiled_kernel_exposes_the_pure_contract(compiled):
     # or dropped from one twin alone shows here.
     for name in ("integrate_endpoint", "integrate_pair_drift"):
         assert inspect.signature(getattr(compiled, name)) == inspect.signature(getattr(pure, name))
-
-
-def test_env_var_forces_pure_backend():
-    code = "import cosmo_qfi; print(cosmo_qfi.kernel_backend)"
-    src = str(Path(pure.__file__).resolve().parents[2])
-    env = dict(os.environ, COSMO_QFI_PURE="1", PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "pure"
 
 
 def test_selected_backend_exposes_contract():

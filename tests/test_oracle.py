@@ -129,12 +129,13 @@ def test_integration_work_is_reported(monkeypatch):
 
 def test_oracle_row_catches_a_wrong_chi(monkeypatch):
     # The oracle reads chi off its own endpoint spinor, so a spinor factor
-    # 0.1 % too large in the closed form shows in the X comparison.
+    # chi = k/(omega_out + mu_out) 0.1 % too large in the closed form shows in
+    # the X comparison.  X takes ln chi^2 from omega_out and mu_out.
     real = bogoliubov.frequencies
 
     def wrong_chi(p):
         f = real(p)
-        return f._replace(chi_abs=f.chi_abs * 1.001)
+        return f._replace(mu_out=(f.omega_out + f.mu_out) / 1.001 - f.omega_out)
 
     matches = verify.oracle_matches(5)
     assert verify.check_ode_oracle(matches).passed
@@ -154,6 +155,22 @@ def test_drift_row_catches_a_perturbed_tableau(monkeypatch):
     row = verify.check_wronskian([(p, integrate_mode(p))])
     assert row.worst > verify.DRIFT_TOL
     assert not row.passed
+
+
+def test_twins_give_the_same_oracle_results(monkeypatch, compiled):
+    # The backend is whichever twin was built, so the suite holds both to
+    # the same `verify` oracle run: the same steps, and X and the drift
+    # within the kernel parity bound of test_kernel_backends.
+    runs = []
+    for impl in (pure, compiled):
+        monkeypatch.setattr(_kernel, "impl", impl)
+        runs.append(verify.oracle_matches(12))
+    for (p, a), (q, b) in zip(*runs):
+        assert p == q
+        assert a.steps == b.steps
+        assert _rel(a.X, b.X) <= 1e-10
+        assert abs(a.norm_drift - b.norm_drift) <= 1e-10
+    assert len(runs[0]) == len(runs[1]) == 12
 
 
 def test_window_too_small_raises():

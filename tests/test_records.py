@@ -113,7 +113,7 @@ def test_result_record_has_every_field(name, m_tilde):
 
 def test_sweep_rows_have_every_field():
     rows = sweep(SweepSpec("m_tilde", 0.0, 1.0, 3, FIXED))
-    nan_rows = sweep(SweepSpec("eps", 1.0, 1e300, 3, FIXED))
+    nan_rows = sweep(SweepSpec("m_tilde", 1.0, 1.5e308, 3, FIXED))  # mu_out overflows
     assert rows[0].qfi == 0.0 and rows[0].bound == math.inf  # the m = 0 row
     assert [math.isnan(r.qfi) for r in nan_rows] == [False, True, True]
     for row in rows + nan_rows:

@@ -12,13 +12,13 @@ eps; `mp.diff`'s default absolute step leaves it off by 5e-4 at eps = 1e16
 and 60 digits.  X, dX/deps and the QFI of `qfi_eps` must match it
 
 * in the paper box, at 200 fixed-seed log-uniform points in [0.1, 10]^3, at
-  40 digits (worst errors 1.8e-14 in all three);
+  40 digits (worst errors 2.1e-14 in all three);
 * over the domain, at the first 1 000 fixed-seed log-uniform draws in
   [1e-8, 1e6]^3 wherever `qfi_eps` gives a normal positive QFI (512
-  points), at 40 digits (worst 1.04e-13, at (0.067, 5.9e-4, 88));
+  points), at 40 digits (worst 1.26e-13, at (5.8e-5, 2.7e-6, 77));
 * at large eps, eps in {1e8, 1e12, 1e16} with (m, k) in {(1, 1), (0.1, 3),
   (5, 0.5)}, at 60 digits, since the reference's own differences cancel
-  about 33 digits at eps = 1e16 (worst 1.04e-14).
+  about 33 digits at eps = 1e16 (worst 1.35e-14).
 
 The Gamma route's |B/A|^2, `ratio_sq(coefficients(p))`, must match the
 reference's at the same points up to its zeta_pp limit: all 200 box points
