@@ -7,16 +7,16 @@ Both expose the same two entry points, each advancing one solution of the
 mode equation, a 4-component state: `integrate_endpoint`, and
 `integrate_pair_drift`, which also tracks the solution's conserved Dirac norm
 as an integrator gauge.  The oracle calls only `integrate_pair_drift`;
-`integrate_endpoint` remains for the backend parity tests and for the
-benchmark's kernel tracing, and `integrate_pair_drift` keeps the name of the
-stacked pair and Wronskian it once tracked because `perfbench/` traces it by
-that name.
+`integrate_endpoint` stays only for the backend parity tests and for the
+benchmark's kernel tracing in `perfbench/`, and `integrate_pair_drift` keeps
+the name of the stacked pair and Wronskian it once tracked because
+`perfbench/` traces it by that name.
 
-Both step with DOP853 (Hairer's 8th-order pair with its combined 5th/3rd-order
-error estimate) and sum every stage in the same order, so they take the same
-steps.  The pure twin's unrolled stepper holds psi and psi' as two complex
-locals: that halves its Python operations per stage against float locals and
-gives the same floats as the generic reference stepper (see `pure`).
+Each twin runs one DOP853 loop (Hairer's 8th-order pair with its combined
+5th/3rd-order error estimate) behind both entry points, summing every stage
+in the same order, so the twins take the same steps.  The pure twin's loop is
+unrolled over psi and psi' as two complex locals (see `pure`); the tests hold
+it to the C twin step for step and to SciPy's DOP853.
 
 Importing this package does not import the pure twin: `BACKEND` is set from
 the attempt to import `_mode_rk`, and `impl` resolves to `pure` on first

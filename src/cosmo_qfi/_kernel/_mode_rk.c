@@ -146,7 +146,7 @@ static double combined_error(double h, double err5, double err3)
 }
 
 /* Stage st of advance, on its locals: yt = y + h * (sum), the sum over the
- * stage's nonzero a_sj summed left to right as in pure._advance, then
+ * stage's nonzero a_sj summed left to right, as pure._march sums it, then
  * k[st] = f(eta + frac h, yt). */
 #define STAGE(st, frac, sum)                   \
     do {                                       \
@@ -155,23 +155,21 @@ static double combined_error(double h, double err5, double err3)
         deriv(eta + (frac) * h, yt, k[st], c); \
     } while (0)
 
-/* Advance the 4-component y in place from eta0 to eta1.  With max_drift
- * non-NULL the Dirac norm is tracked at every accepted step. */
+/* Advance the 4-component y in place from eta0 to eta1; *max_dev is the
+ * largest |n - n0| over the accepted steps, n the dirac_norm and n0 its
+ * value at eta0. */
 static int advance(const Coeffs *c, double eta0, double eta1, double *y, double rtol,
-                   double atol, double *max_drift, long *accepted)
+                   double atol, double n0, double *max_dev, long *accepted)
 {
     double k[12][4], yt[4], s[4], ynew[4];
-    double eta = eta0, h = eta1 - eta0, n0 = 0.0;
+    double eta = eta0, h = eta1 - eta0;
     long attempts = 0;
     int i;
 
     if (h > H_INIT)
         h = H_INIT;
     *accepted = 0;
-    if (max_drift != NULL) {
-        *max_drift = 0.0;
-        n0 = dirac_norm(eta, y, c);
-    }
+    *max_dev = 0.0;
     deriv(eta, y, k[0], c);
     while (eta < eta1) {
         double err5 = 0.0, err3 = 0.0, err, fac;
@@ -215,12 +213,11 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, double 
         }
         err = combined_error(h, err5 / 4, err3 / 4);
         if (err <= 1.0) {
+            double dev;
             deriv(eta + h, ynew, k[0], c); /* first-same-as-last */
-            if (max_drift != NULL) {
-                double drift = fabs(dirac_norm(eta + h, ynew, c) - n0) / n0;
-                if (drift > *max_drift)
-                    *max_drift = drift;
-            }
+            dev = fabs(dirac_norm(eta + h, ynew, c) - n0);
+            if (dev > *max_dev)
+                *max_dev = dev;
             eta = last ? eta1 : eta + h;
             for (i = 0; i < 4; i++)
                 y[i] = ynew[i];
@@ -248,7 +245,7 @@ static PyObject *integrate(PyObject *args, PyObject *kw, const char *fmt, const 
                            int with_drift)
 {
     Coeffs c;
-    double eta0, eta1, rtol, atol, y[4], max_drift;
+    double eta0, eta1, rtol, atol, y[4], n0, max_dev;
     long accepted;
     int status, i;
     PyObject *y0, *seq;
@@ -273,17 +270,19 @@ static PyObject *integrate(PyObject *args, PyObject *kw, const char *fmt, const 
         }
     }
     Py_DECREF(seq);
-    if (with_drift && dirac_norm(eta0, y, &c) == 0.0) {
+    n0 = dirac_norm(eta0, y, &c);
+    if (with_drift && n0 == 0.0) {
         PyErr_SetString(PyExc_ValueError, "initial Dirac norm vanishes");
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    status = advance(&c, eta0, eta1, y, rtol, atol, with_drift ? &max_drift : NULL,
-                     &accepted);
+    status = advance(&c, eta0, eta1, y, rtol, atol, n0, &max_dev, &accepted);
     Py_END_ALLOW_THREADS
     if (!with_drift)
         return Py_BuildValue("(dddd)li", y[0], y[1], y[2], y[3], accepted, status);
-    return Py_BuildValue("(dddd)dli", y[0], y[1], y[2], y[3], max_drift, accepted, status);
+    /* The largest step drift to the bit; see pure.integrate_pair_drift. */
+    return Py_BuildValue("(dddd)dli", y[0], y[1], y[2], y[3],
+                         n0 < INFINITY ? max_dev / n0 : 0.0, accepted, status);
 }
 
 static PyObject *integrate_endpoint(PyObject *self, PyObject *args, PyObject *kw)

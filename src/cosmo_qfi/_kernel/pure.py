@@ -1,8 +1,8 @@
 """Pure-Python DOP853 stepper for the mode equation.
 
-Reference implementation of the hot kernel; the compiled twin, written in C
-in `_mode_rk.c`, uses the same tableau, the same step controller and the same
-status codes, so either backend can serve the oracle.  The state is one
+Twin of the compiled kernel in `_mode_rk.c`: the same tableau, the same step
+controller, the same status codes and the same floating-point operations in
+the same order, so either backend can serve the oracle.  The state is one
 solution as the flat float vector (re psi, im psi, re psi', im psi').
 
 The equation integrated is
@@ -25,18 +25,17 @@ twelve stages, the first taken from the last step's endpoint (FSAL), an
 3rd-order embedded pairs.  At the oracle's rel_tol of 1e-12 it takes about
 15 times fewer steps than Dormand-Prince 5(4).
 
-Two steppers share the tableau.  `_advance`, over `_deriv`, is the generic
-reference; `integrate_endpoint` runs on it, and the tests compare against it.
-`integrate_pair_drift`, the entry point the oracle calls, runs its own copy of
-that loop unrolled, with psi and psi' in two complex locals, and tracks the
-norm at every accepted step.  A complex local halves the Python operations
-per stage against two float locals, and it is exact: CPython's complex
-product computes `_deriv`'s w*y0 - v*y1 and w*y1 + v*y0 term for term, and a
-float times a complex gives the same parts as two float products for finite
-values.  The copy writes every sum in the order and grouping of `_advance`:
+One loop, `_march`, serves both entry points.  It is unrolled over the
+stages, with psi and psi' in two complex locals, and tracks the norm at every
+accepted step.  A complex local halves the Python operations per stage
+against two float locals, and it is exact: CPython's complex product
+computes the C twin's w*y0 - v*y1 and w*y1 + v*y0 term for term, and a float
+times a complex gives the same parts as two float products for finite
+values.  Every sum keeps the order and grouping of the C twin's `advance`:
 floating-point sums are not associative, so a regrouped sum would move the
 last bits of an error estimate and from there the step sequence and every
-returned figure.  Written this way the two give equal results, bit for bit.
+returned figure.  The tests hold this loop to the C twin step for step and
+to SciPy's DOP853.
 
 `integrate_pair_drift` keeps the name it had when it advanced the in-mode
 stacked with a partner solution, because `perfbench/` traces the kernel by
@@ -140,46 +139,6 @@ _H_INIT = 1e-3
 _H_MAX = 1.0  # never step across the expansion epoch, whose width is O(1)
 _MAX_STEPS = 5_000_000
 
-# Stages 1 to 11 as (time fraction, nonzero (j, a_sj)); then the solution
-# weights and the 5th-order error weights as (j, weight).
-_STAGES = (
-    (_C1, ((0, _A1_0),)),
-    (_C2, ((0, _A2_0), (1, _A2_1))),
-    (_C3, ((0, _A3_0), (2, _A3_2))),
-    (_C4, ((0, _A4_0), (2, _A4_2), (3, _A4_3))),
-    (_C5, ((0, _A5_0), (3, _A5_3), (4, _A5_4))),
-    (_C6, ((0, _A6_0), (3, _A6_3), (4, _A6_4), (5, _A6_5))),
-    (_C7, ((0, _A7_0), (3, _A7_3), (4, _A7_4), (5, _A7_5), (6, _A7_6))),
-    (_C8, ((0, _A8_0), (3, _A8_3), (4, _A8_4), (5, _A8_5), (6, _A8_6), (7, _A8_7))),
-    (_C9, ((0, _A9_0), (3, _A9_3), (4, _A9_4), (5, _A9_5), (6, _A9_6), (7, _A9_7),
-           (8, _A9_8))),
-    (_C10, ((0, _A10_0), (3, _A10_3), (4, _A10_4), (5, _A10_5), (6, _A10_6), (7, _A10_7),
-            (8, _A10_8), (9, _A10_9))),
-    (1.0, ((0, _A11_0), (3, _A11_3), (4, _A11_4), (5, _A11_5), (6, _A11_6), (7, _A11_7),
-           (8, _A11_8), (9, _A11_9), (10, _A11_10))),
-)
-_WEIGHTS = ((0, _B0), (5, _B5), (6, _B6), (7, _B7), (8, _B8), (9, _B9), (10, _B10),
-            (11, _B11))
-_ERR5 = ((0, _E0), (5, _E5), (6, _E6), (7, _E7), (8, _E8), (9, _E9), (10, _E10),
-         (11, _E11))
-
-
-def _deriv(eta, y, eps, m, k):
-    th = math.tanh(eta)
-    a = 1.0 + eps * (1.0 + th)
-    w = k * k + m * m * a * a
-    v = -(m * eps) * (1.0 - th * th)
-    return [y[2], y[3], -(w * y[0] - v * y[1]), -(w * y[1] + v * y[0])]
-
-
-def _combine(terms, ks, i):
-    """Component i of sum(c * ks[j] for j, c in terms), summed left to right."""
-    (j, c), *rest = terms
-    s = c * ks[j][i]
-    for j, c in rest:
-        s += c * ks[j][i]
-    return s
-
 
 def _error(h, err5, err3):
     """Hairer's combined error from the mean squares of the scaled 5th- and
@@ -193,88 +152,20 @@ def _error(h, err5, err3):
     return h * err5 / math.sqrt(den)
 
 
-def _advance(eps, m, k, eta0, eta1, y, rtol, atol, monitor=None):
-    """Advance y from eta0 to eta1; returns (y, accepted, status).
+def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+    """Advance the 4-component y0 from eta0 to eta1, tracking the Dirac norm
+    as n = k^2 N, which drifts by the same relative amount and needs no
+    division, so the zero state passes.
 
-    monitor(eta, y), if given, sees each accepted step's endpoint, with eta
-    the time at which its last stage was taken.
+    Returns (endpoint state tuple, initial n0, max |n - n0| over the
+    accepted steps, accepted step count, status).
     """
-    n = len(y)
-    rng = range(n)
-    eta = eta0
-    h = min(_H_INIT, eta1 - eta0)
-    k0 = _deriv(eta, y, eps, m, k)
-    accepted = 0
-    attempts = 0
-    while eta < eta1:
-        attempts += 1
-        if attempts > _MAX_STEPS:
-            return y, accepted, STATUS_MAX_STEPS
-        if h < 1e-14 * max(1.0, abs(eta)):
-            return y, accepted, STATUS_UNDERFLOW
-        last = eta + h >= eta1
-        if last:
-            h = eta1 - eta
-        ks = [k0]
-        for c, terms in _STAGES:
-            yt = [y[i] + h * _combine(terms, ks, i) for i in rng]
-            ks.append(_deriv(eta + c * h, yt, eps, m, k))
-        s = [_combine(_WEIGHTS, ks, i) for i in rng]
-        ynew = [y[i] + h * s[i] for i in rng]
-        err5 = err3 = 0.0
-        for i in rng:
-            sc = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-            q = _combine(_ERR5, ks, i) / sc
-            err5 += q * q
-            q = (s[i] - _BHH0 * ks[0][i] - _BHH8 * ks[8][i] - _BHH11 * ks[11][i]) / sc
-            err3 += q * q
-        err = _error(h, err5 / n, err3 / n)
-        if err <= 1.0:
-            k0 = _deriv(eta + h, ynew, eps, m, k)  # first-same-as-last
-            if monitor is not None:
-                monitor(eta + h, ynew)
-            eta = eta1 if last else eta + h
-            y = ynew
-            accepted += 1
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
-        elif math.isnan(err):
-            # No step size makes a NaN estimate pass: stop, not spin to the budget.
-            return y, accepted, STATUS_NONFINITE
-        else:
-            fac = max(0.2, min(1.0, 0.9 * err ** -0.125))
-        h = min(h * fac, _H_MAX)
-    return y, accepted, STATUS_OK
-
-
-def _state(name, y0):
     y = tuple(y0)
     if len(y) != 4:
         raise ValueError(f"{name} expects a 4-component state")
-    return y
-
-
-def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
-    """Integrate one solution; y0 has 4 components.
-
-    Returns (endpoint state tuple, accepted step count, status).
-    """
-    y = list(_state("integrate_endpoint", y0))
-    y, steps, status = _advance(eps, m_tilde, k_tilde, eta0, eta1, y, rel_tol, abs_tol)
-    return tuple(y), steps, status
-
-
-def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
-    """Integrate one solution, tracking its Dirac norm at every accepted
-    step.  y0 has 4 components.
-
-    Returns (endpoint state tuple, max relative norm drift, accepted step
-    count, status).
-    """
-    y = _state("integrate_pair_drift", y0)
     # p, d are psi and psi'.  At stage s, ds is the stage's psi' (the
     # derivative of psi) and fs the derivative of psi'; P holds the stage's
-    # psi.  Stage 0 is (d, f0).  The norm is tracked as k^2 N, which drifts
-    # by the same relative amount and needs no division.
+    # psi.  Stage 0 is (d, f0).
     p, d = complex(y[0], y[1]), complex(y[2], y[3])
     tanh = math.tanh
     kk, mm, v_amp = k_tilde * k_tilde, m_tilde * m_tilde, -(m_tilde * eps)
@@ -283,9 +174,7 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
     mu = m_tilde * a
     x, z = d.real + mu * p.imag, d.imag - mu * p.real
     n0 = kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z)
-    if n0 == 0.0:
-        raise ValueError("initial Dirac norm vanishes")
-    worst = 0.0
+    max_dev = 0.0
     W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
     f0 = -(W * p)
     eta = eta0
@@ -407,14 +296,42 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
             accepted += 1
             mu = m_tilde * a
             x, z = d.real + mu * p.imag, d.imag - mu * p.real
-            drift = abs(kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z) - n0) / n0
-            if drift > worst:
-                worst = drift
+            dev = abs(kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z) - n0)
+            if dev > max_dev:
+                max_dev = dev
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         elif math.isnan(err):
+            # No step size makes a NaN estimate pass: stop, not spin to the budget.
             status = STATUS_NONFINITE
             break
         else:
             fac = max(0.2, min(1.0, 0.9 * err ** -0.125))
         h = min(h * fac, _H_MAX)
-    return (p.real, p.imag, d.real, d.imag), worst, accepted, status
+    return (p.real, p.imag, d.real, d.imag), n0, max_dev, accepted, status
+
+
+def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+    """Integrate one solution; y0 has 4 components.
+
+    Returns (endpoint state tuple, accepted step count, status).
+    """
+    y, _, _, steps, status = _march(
+        "integrate_endpoint", eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
+    return y, steps, status
+
+
+def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+    """Integrate one solution, tracking its Dirac norm at every accepted
+    step.  y0 has 4 components.
+
+    Returns (endpoint state tuple, max relative norm drift, accepted step
+    count, status).
+    """
+    y, n0, dev, steps, status = _march(
+        "integrate_pair_drift", eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
+    if n0 == 0.0:
+        raise ValueError("initial Dirac norm vanishes")
+    # Rounding a division by a positive n0 is monotone, so max|n - n0| / n0
+    # is the largest step drift to the bit.  An infinite or NaN n0 makes
+    # every step's drift NaN, and a NaN drift never raises the maximum.
+    return y, dev / n0 if n0 < math.inf else 0.0, steps, status

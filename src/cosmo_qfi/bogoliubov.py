@@ -142,7 +142,7 @@ def _dlnX_deps(p: ModelParams) -> float:
     f = frequencies(p)
     m = p.m_tilde
     dz_p = 0.5 * domega_out_deps(p) + m  # zeta_pp' and zeta_mp'
-    dz_m = -m * p.k_tilde * f.chi_abs / f.omega_out  # zeta_pm' and zeta_mm'
+    dz_m = -m * (p.k_tilde / f.omega_out * f.chi_abs)  # zeta_pm' and zeta_mm'
     # G: the zeta_pp and zeta_mp terms with d ln chi^2 folded in, and their
     # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form; no sum in it
     # overflows, as omega_out + mu_out would.

@@ -1,5 +1,8 @@
-"""Properties of the `point`, `sweep` and `optimize` paths over the whole
-admitted domain.
+"""Properties of the `point`, `sweep` and `optimize` paths on [1e-8, 1e6]^3.
+
+That is only part of the admitted domain, every finite eps > 0, m_tilde >= 0
+and k_tilde > 0.  Beyond it the closed form is not yet right or typed at
+every point, so the draws stay inside it until it is (ROADMAP.md, item 16).
 
 `eps`, `m_tilde` and `k_tilde` are drawn log-uniform over [1e-8, 1e6], with
 `m_tilde = 0` as its own case and a third of the draws near the ray
@@ -8,7 +11,7 @@ the sudden limit (acceptance criterion 11).  Every point either raises a
 typed `CosmoQfiError` or yields finite, non-negative figures that respect
 that supremum; a derivative only 0.1 % too large breaks the last property
 near the ray.  The weight grows with eps, so dX > 0 wherever X > 0.  Sweeps
-and optimizations run over log-uniform boxes of the same domain: each sweep
+and optimizations run over log-uniform boxes of the same range: each sweep
 row is such a point or the documented NaN row, and an optimization returns
 such a point or raises a typed error.
 """

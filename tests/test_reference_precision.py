@@ -18,7 +18,9 @@ and 60 digits.  X, dX/deps and the QFI of `qfi_eps` must match it
   points), at 40 digits (worst 1.26e-13, at (5.8e-5, 2.7e-6, 77));
 * at large eps, eps in {1e8, 1e12, 1e16} with (m, k) in {(1, 1), (0.1, 3),
   (5, 0.5)}, at 60 digits, since the reference's own differences cancel
-  about 33 digits at eps = 1e16 (worst 1.35e-14).
+  about 33 digits at eps = 1e16 (worst 1.35e-14);
+* at (eps, m, k) = (1e50, 1e-200, 1e-200), where the product m k underflows,
+  at 450 digits (worst 8.7e-15).
 
 The Gamma route's |B/A|^2, `ratio_sq(coefficients(p))`, must match the
 reference's at the same points up to its zeta_pp limit: all 200 box points
@@ -140,6 +142,15 @@ def test_closed_form_matches_the_reference_over_the_domain(domain_errors, name):
 def test_closed_form_matches_the_reference_at_large_eps(large_eps_errors, name):
     assert large_eps_errors["points"] == len(LARGE_EPS)
     assert large_eps_errors[name] < DOMAIN_BOUND
+
+
+def test_closed_form_matches_the_reference_where_m_k_underflows():
+    # The derivative once formed m k first; there it underflowed and dropped
+    # the zeta_pm and zeta_mm terms, so the QFI read 1.82e-201, not 2.50e-201.
+    errors = _worst_errors([(1e50, 1e-200, 1e-200)], digits=450)
+    assert errors["points"] == 1
+    for name in NAMES:
+        assert errors[name] < DOMAIN_BOUND, name
 
 
 def test_gamma_route_matches_the_reference_in_the_box(box_errors):
