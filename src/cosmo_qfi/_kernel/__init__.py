@@ -6,7 +6,10 @@ twin by setting `impl`, and tier-1 holds both to the same oracle results.
 Both expose the same two entry points, each advancing one solution of the
 mode equation, a 4-component state: `integrate_endpoint`, and
 `integrate_pair_drift`, which also tracks the solution's conserved Dirac norm
-as an integrator gauge.  The oracle calls only `integrate_pair_drift`;
+as an integrator gauge.  Both take their eight arguments positionally only,
+the state as any 4-item sequence of numbers; the C twin leaves the state to
+CPython's argument parser, and both raise its `TypeError` for a state of any
+other length.  The oracle calls only `integrate_pair_drift`;
 `integrate_endpoint` stays only for the backend parity tests and for the
 benchmark's kernel tracing in `perfbench/`, and `integrate_pair_drift` keeps
 the name of the stacked pair and Wronskian it once tracked because

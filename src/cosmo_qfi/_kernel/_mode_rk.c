@@ -1,13 +1,14 @@
 /* Compiled DOP853 stepper for the mode equation.
  *
  * Twin of cosmo_qfi._kernel.pure: same tableau, same step controller, same
- * status codes and the same floating-point operations in the same order, so
- * the two backends are interchangeable.  Both advance one solution, and
- * integrate_pair_drift gauges it by its conserved Dirac norm; it keeps the
- * name of the stacked pair and Wronskian it once tracked, because perfbench/
- * traces it by that name.  The stepping loop holds no Python object and runs
- * with the GIL released, so library callers may run integrations
- * concurrently from threads.
+ * status codes, same positional-only arguments and the same floating-point
+ * operations in the same order, so the two backends are interchangeable.
+ * Both advance one solution, and integrate_pair_drift gauges it by its
+ * conserved Dirac norm; it keeps the name of the stacked pair and Wronskian
+ * it once tracked, because perfbench/ traces it by that name.  CPython's
+ * argument parser reads the state, so no Python object is held past the
+ * parse, and the stepping loop runs with the GIL released: library callers
+ * may run integrations concurrently from threads.
  *
  * Build it next to the package sources (from the repository root):
  *
@@ -236,40 +237,19 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, double 
     return ST_OK;
 }
 
-static char *kwlist[] = {"eps", "m_tilde", "k_tilde", "eta0", "eta1",
-                         "y0", "rel_tol", "abs_tol", NULL};
-
 /* Shared body of both entry points: parse, integrate, return (state tuple,
- * [max norm drift,] accepted step count, status). */
-static PyObject *integrate(PyObject *args, PyObject *kw, const char *fmt, const char *name,
-                           int with_drift)
+ * [max norm drift,] accepted step count, status).  Its "(dddd)" unit reads
+ * any 4-item sequence of numbers into y and raises TypeError otherwise. */
+static PyObject *integrate(PyObject *args, const char *fmt, int with_drift)
 {
     Coeffs c;
     double eta0, eta1, rtol, atol, y[4], n0, max_dev;
     long accepted;
-    int status, i;
-    PyObject *y0, *seq;
+    int status;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kw, fmt, kwlist, &c.eps, &c.m, &c.k,
-                                     &eta0, &eta1, &y0, &rtol, &atol))
+    if (!PyArg_ParseTuple(args, fmt, &c.eps, &c.m, &c.k, &eta0, &eta1, &y[0], &y[1], &y[2],
+                          &y[3], &rtol, &atol))
         return NULL;
-    /* A tuple copy: an item's __float__ cannot resize it under the loop. */
-    seq = PySequence_Tuple(y0);
-    if (seq == NULL)
-        return NULL;
-    if (PyTuple_GET_SIZE(seq) != 4) {
-        Py_DECREF(seq);
-        PyErr_Format(PyExc_ValueError, "%s expects a 4-component state", name);
-        return NULL;
-    }
-    for (i = 0; i < 4; i++) {
-        y[i] = PyFloat_AsDouble(PyTuple_GET_ITEM(seq, i));
-        if (y[i] == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-    }
-    Py_DECREF(seq);
     n0 = dirac_norm(eta0, y, &c);
     if (with_drift && n0 == 0.0) {
         PyErr_SetString(PyExc_ValueError, "initial Dirac norm vanishes");
@@ -285,26 +265,24 @@ static PyObject *integrate(PyObject *args, PyObject *kw, const char *fmt, const 
                          n0 < INFINITY ? max_dev / n0 : 0.0, accepted, status);
 }
 
-static PyObject *integrate_endpoint(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *integrate_endpoint(PyObject *self, PyObject *args)
 {
-    return integrate(args, kw, "dddddOdd:integrate_endpoint", "integrate_endpoint", 0);
+    return integrate(args, "ddddd(dddd)dd:integrate_endpoint", 0);
 }
 
-static PyObject *integrate_pair_drift(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *integrate_pair_drift(PyObject *self, PyObject *args)
 {
-    return integrate(args, kw, "dddddOdd:integrate_pair_drift", "integrate_pair_drift", 1);
+    return integrate(args, "ddddd(dddd)dd:integrate_pair_drift", 1);
 }
 
-#define SIGNATURE "(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)\n--\n\n"
+#define SIGNATURE "(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol, /)\n--\n\n"
 
 static PyMethodDef methods[] = {
-    {"integrate_endpoint", (PyCFunction)(void (*)(void))integrate_endpoint,
-     METH_VARARGS | METH_KEYWORDS,
+    {"integrate_endpoint", integrate_endpoint, METH_VARARGS,
      "integrate_endpoint" SIGNATURE
      "Integrate one solution; y0 has 4 components.\n\n"
      "Returns (endpoint state tuple, accepted step count, status)."},
-    {"integrate_pair_drift", (PyCFunction)(void (*)(void))integrate_pair_drift,
-     METH_VARARGS | METH_KEYWORDS,
+    {"integrate_pair_drift", integrate_pair_drift, METH_VARARGS,
      "integrate_pair_drift" SIGNATURE
      "Integrate one solution, tracking its Dirac norm at every accepted\n"
      "step.  y0 has 4 components.\n\n"

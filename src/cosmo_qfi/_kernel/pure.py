@@ -1,9 +1,10 @@
 """Pure-Python DOP853 stepper for the mode equation.
 
 Twin of the compiled kernel in `_mode_rk.c`: the same tableau, the same step
-controller, the same status codes and the same floating-point operations in
-the same order, so either backend can serve the oracle.  The state is one
-solution as the flat float vector (re psi, im psi, re psi', im psi').
+controller, the same status codes, the same positional-only arguments and the
+same floating-point operations in the same order, so either backend can serve
+the oracle.  The state is one solution as the flat float vector
+(re psi, im psi, re psi', im psi').
 
 The equation integrated is
 
@@ -162,7 +163,8 @@ def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     """
     y = tuple(y0)
     if len(y) != 4:
-        raise ValueError(f"{name} expects a 4-component state")
+        # CPython's message for the C twin's "(dddd)" argument unit.
+        raise TypeError(f"{name}() argument 6 must be sequence of length 4, not {len(y)}")
     # p, d are psi and psi'.  At stage s, ds is the stage's psi' (the
     # derivative of psi) and fs the derivative of psi'; P holds the stage's
     # psi.  Stage 0 is (d, f0).
@@ -310,7 +312,7 @@ def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     return (p.real, p.imag, d.real, d.imag), n0, max_dev, accepted, status
 
 
-def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol, /):
     """Integrate one solution; y0 has 4 components.
 
     Returns (endpoint state tuple, accepted step count, status).
@@ -320,7 +322,7 @@ def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     return y, steps, status
 
 
-def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol, /):
     """Integrate one solution, tracking its Dirac norm at every accepted
     step.  y0 has 4 components.
 

@@ -53,14 +53,11 @@ class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
 def coefficients(p: ModelParams) -> float:
     """ln |B/A|^2 via log-Gamma:
 
-        2 Re[ln Gamma(1 + i zeta_pp) + ln Gamma(i zeta_pm)
-             - ln Gamma(1 - i zeta_mm) - ln Gamma(i zeta_mp)].
+        2 Re[ln Gamma(1 - i zeta_pp) + ln Gamma(-i zeta_pm)
+             - ln Gamma(1 + i zeta_mm) - ln Gamma(i zeta_mp)],
 
-    These are the terms of |Gamma(1 - i zeta_pp) Gamma(-i zeta_pm)|^2 /
-    |Gamma(1 + i zeta_mm) Gamma(i zeta_mp)|^2, the first three taken at the
-    conjugate argument: Re ln Gamma(conj z) = Re ln Gamma(z), and with
-    zeta_mm <= 0 all four arguments lie in the upper half-plane, where
-    `log_gamma` needs no conjugate call.  The common factor
+    the terms of |Gamma(1 - i zeta_pp) Gamma(-i zeta_pm)|^2 /
+    |Gamma(1 + i zeta_mm) Gamma(i zeta_mp)|^2.  The common factor
     Gamma(1 - i omega_in), the conjugate pair Gamma(-/+ i omega_out) and the
     prefactor sqrt(omega_out/omega_in) of A and B cancel in |B/A| and are not
     evaluated.  Requires m_tilde > 0 (no
@@ -74,8 +71,8 @@ def coefficients(p: ModelParams) -> float:
         raise DegenerateParameterError(
             f"Gamma route cannot resolve |B/A|^2 past zeta_pp = {_GAMMA_ZETA_PP_MAX:g}")
     return 2.0 * (
-        log_gamma(1.0 + 1j * f.zeta_pp) + log_gamma(1j * f.zeta_pm)
-        - log_gamma(1.0 - 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
+        log_gamma(1.0 - 1j * f.zeta_pp) + log_gamma(-1j * f.zeta_pm)
+        - log_gamma(1.0 + 1j * f.zeta_mm) - log_gamma(1j * f.zeta_mp)
     ).real
 
 
@@ -145,12 +142,16 @@ def _dlnX_deps(p: ModelParams) -> float:
     dz_m = -m * (p.k_tilde / f.omega_out * f.chi_abs)  # zeta_pm' and zeta_mm'
     # G: the zeta_pp and zeta_mp terms with d ln chi^2 folded in, and their
     # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form; no sum in it
-    # overflows, as omega_out + mu_out would.
+    # overflows, as omega_out + mu_out would.  The tails' product underflows
+    # where m and k are both tiny; two divisions there give wrong figures.
+    tails = math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp)
+    if tails == 0.0:
+        raise DegenerateParameterError(
+            f"d ln X/d eps underflows for eps={p.eps}, m_tilde={m}, k_tilde={p.k_tilde}")
     G = (
         (f.omega_in / f.zeta_pp * (f.omega_in / f.zeta_mp) + m / f.zeta_pp + m / f.zeta_mp)
         / f.omega_out / (1.0 + f.mu_out / f.omega_out)
-        + _TWO_PI * -math.expm1(-_TWO_PI * f.omega_in) * math.exp(-_TWO_PI * f.zeta_mp)
-        / (math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp))
+        + _TWO_PI * -math.expm1(-_TWO_PI * f.omega_in) * math.exp(-_TWO_PI * f.zeta_mp) / tails
     )
     # S: the zeta_pm and zeta_mm terms, with D(a) = T'(a) - 1/a in (-pi, 0]
     # at a = -zeta_mm; below x = pi a = 0.1, where the direct difference

@@ -54,8 +54,7 @@ def log_gamma(z: complex) -> complex:
 
     Uses the Lanczos approximation for Re z >= 0.5 and one recurrence step
     for 0 <= Re z < 0.5 (the imaginary-axis arguments of the Bogoliubov
-    coefficients land here).  Conjugate symmetry maps the lower half-plane
-    onto the upper one.
+    coefficients land here).  Both hold in either half-plane.
 
     Raises
     ------
@@ -67,8 +66,6 @@ def log_gamma(z: complex) -> complex:
     if z.real < 0.0 or z == 0.0:
         raise DegenerateParameterError(
             f"log_gamma supports Re z >= 0 except the pole at 0, got z = {z}")
-    if z.imag < 0.0:
-        return log_gamma(z.conjugate()).conjugate()
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)
     # log Gamma(z) = log Gamma(z + 1) - log z

@@ -23,7 +23,7 @@ from cosmo_qfi import (
     qfi_eps,
     ratio_sq,
 )
-from cosmo_qfi import bogoliubov, specfun
+from cosmo_qfi import bogoliubov
 from cosmo_qfi.specfun import log_gamma
 
 mp.mp.dps = 40
@@ -114,25 +114,6 @@ def test_coefficients_takes_four_log_gamma_terms(monkeypatch):
     monkeypatch.setattr(bogoliubov, "log_gamma", counted)
     coefficients(ModelParams(1.0, 1.0, 1.0))
     assert len(calls) == 4
-
-
-def test_coefficients_takes_no_conjugate_log_gamma_call(monkeypatch):
-    # Every argument lies in the upper half-plane, so log_gamma never calls
-    # itself on a conjugate: 4 calls in all, where the lower-half-plane
-    # arguments 1 - i zeta_pp, -i zeta_pm and 1 + i zeta_mm would make 7.
-    p = ModelParams(1.0, 1.0, 1.0)
-    assert frequencies(p).zeta_mm < 0.0
-    calls = []
-
-    def counted(z):
-        calls.append(z)
-        return log_gamma(z)
-
-    monkeypatch.setattr(specfun, "log_gamma", counted)  # the recursion's name
-    monkeypatch.setattr(bogoliubov, "log_gamma", counted)
-    coefficients(p)
-    assert len(calls) == 4
-    assert all(complex(z).imag >= 0.0 for z in calls)
 
 
 def test_ratio_sq_raises_where_the_magnitude_overflows():

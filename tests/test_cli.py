@@ -126,6 +126,27 @@ def test_sweep_keeps_the_fd_step_row_as_nan(capsys, tmp_path):
     assert all(math.isfinite(float(x)) for row in rows[1:] for x in row)
 
 
+def test_underflowing_derivative_exits_three(capsys):
+    # m and k so small that the product of the two tails in d ln X/d eps
+    # underflows to 0: one error line and exit 3, not a traceback.
+    code, out, err = run(capsys, "point", "--eps", "1e-20", "--m", "1e-200", "--k", "5e-324")
+    assert (code, out) == (3, "")
+    assert err == "error: d ln X/d eps underflows for eps=1e-20, m_tilde=1e-200, k_tilde=5e-324\n"
+    code, out, err = run(capsys, "optimize", "--var", "m", "--lo", "1e-300", "--hi", "1e-200",
+                         "--eps", "1e-20", "--k", "5e-324")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_keeps_underflowing_derivative_rows_as_nan(capsys, tmp_path):
+    out = tmp_path / "tiny.csv"
+    code, _, err = run(capsys, "sweep", "--var", "k", "--lo", "5e-324", "--hi", "1e-300",
+                       "--points", "3", "--eps", "1e-20", "--m", "1e-200", "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = out.read_text().splitlines()[2:]
+    assert [row.split(",", 1)[1] for row in rows] == ["nan,inf,nan,nan"] * 3
+
+
 def test_identity_check_failure_exits_three(capsys):
     # X = 2.5e-311 is subnormal: the literal QFI form overflows to inf; the
     # typed error must not reach stdout

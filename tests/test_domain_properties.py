@@ -1,8 +1,9 @@
 """Properties of the `point`, `sweep` and `optimize` paths on [1e-8, 1e6]^3.
 
 That is only part of the admitted domain, every finite eps > 0, m_tilde >= 0
-and k_tilde > 0.  Beyond it the closed form is not yet right or typed at
-every point, so the draws stay inside it until it is (ROADMAP.md, item 16).
+and k_tilde > 0.  Beyond it the closed form is not yet right at every point,
+so the draws stay inside it until it is (ROADMAP.md, item 16); a grid across
+every finite double holds it to "evaluated or typed" only.
 
 `eps`, `m_tilde` and `k_tilde` are drawn log-uniform over [1e-8, 1e6], with
 `m_tilde = 0` as its own case and a third of the draws near the ray
@@ -16,14 +17,16 @@ row is such a point or the documented NaN row, and an optimization returns
 such a point or raises a typed error.
 """
 
+import itertools
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cosmo_qfi import (
-    DEFAULT_TRIALS, CosmoQfiError, ModelParams, SweepSpec, optimize, qfi_eps,
-    state_entropy, sweep,
+    ANALYTIC, DEFAULT_TRIALS, FINITE_DIFFERENCE, CosmoQfiError, ModelParams, SweepSpec,
+    optimize, qfi_eps, state_entropy, sweep,
 )
 
 LOG_RANGE = (math.log(1e-8), math.log(1e6))
@@ -105,3 +108,20 @@ def test_optimize_returns_a_finite_point_or_raises_typed(box):
     eps = opt.coordinate if variable == "eps" else fixed.eps
     _assert_evaluated(eps, est.qfi, est.bound)
     assert est.qfi > 0.0
+
+
+# 16 values per axis from the least subnormal to near the largest double, with
+# m_tilde = 0 besides: 4 352 points per derivative route.
+EXTREME = (5e-324, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-8, 1e-3, 1.0, 1e3, 1e8, 1e20,
+           1e50, 1e100, 1e200, 1.7e308)
+
+
+@pytest.mark.parametrize("deriv_method", (ANALYTIC, FINITE_DIFFERENCE))
+def test_extreme_grid_evaluates_or_raises_typed(deriv_method):
+    # At tiny m and k the product of two tails in d ln X/d eps underflows
+    # to 0 on the analytic route; that must be a typed error.
+    for eps, m, k in itertools.product(EXTREME, (0.0,) + EXTREME, EXTREME):
+        try:
+            qfi_eps(ModelParams(eps, m, k), deriv_method=deriv_method)
+        except CosmoQfiError:
+            pass
