@@ -24,6 +24,7 @@ from it; `dX_deps_analytic` is the same product for callers that hold no X.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
@@ -142,10 +143,11 @@ def _dlnX_deps(p: ModelParams) -> float:
     dz_m = -m * (p.k_tilde / f.omega_out * f.chi_abs)  # zeta_pm' and zeta_mm'
     # G: the zeta_pp and zeta_mp terms with d ln chi^2 folded in, and their
     # tails T'(zeta_mp) - T'(zeta_pp) differenced in closed form; no sum in it
-    # overflows, as omega_out + mu_out would.  The tails' product underflows
-    # where m and k are both tiny; two divisions there give wrong figures.
+    # overflows, as omega_out + mu_out would.  The tails' product (>= 0)
+    # underflows where m and k are both tiny; two divisions there give wrong
+    # figures, and so does dividing by it once it is subnormal.
     tails = math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp)
-    if tails == 0.0:
+    if tails < sys.float_info.min:
         raise DegenerateParameterError(
             f"d ln X/d eps underflows for eps={p.eps}, m_tilde={m}, k_tilde={p.k_tilde}")
     G = (

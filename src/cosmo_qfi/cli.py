@@ -71,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "particle-creation probe."
         ),
         epilog=(
-            "Environment: COSMO_QFI_THREADS sets the worker thread count "
-            "of sweep (0 or unset = one thread; the thread count never "
-            "changes output)."
+            "Environment: COSMO_QFI_THREADS above 1 runs sweep on that many "
+            "threads; otherwise a large sweep is spread over the CPUs in "
+            "forked processes. Neither changes output."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

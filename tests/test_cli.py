@@ -224,7 +224,8 @@ def _loaded_after(tmp_path, body):
         "import json, sys\n"
         "from cosmo_qfi.cli import main\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('numpy', 'scipy', 'typing', 'dataclasses', 'inspect', 'concurrent', 'cosmo_qfi'))\n"
+        "('numpy', 'scipy', 'typing', 'dataclasses', 'inspect', 'multiprocessing', 'concurrent', "
+        "'cosmo_qfi'))\n"
         f"out = []\n{body}print(json.dumps(out))\n"
     )
     src = str(Path(cosmo_qfi.__file__).resolve().parents[1])
@@ -237,13 +238,17 @@ def _loaded_after(tmp_path, body):
 
 def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     # Each command loads only the layers it runs: record the loaded modules
-    # after `point`, then after an `optimize` and a `sweep`, and separately
+    # after `point`, then after an `optimize`, a `sweep` and a sweep large
+    # enough to fork workers where there is a second CPU, and separately
     # after a `verify`.
-    point, optimized, swept, backend_read, probe_is_function, everything = _loaded_after(
+    point, optimized, swept, forked, backend_read, probe_is_function, everything = _loaded_after(
         tmp_path, (
             "main(['point']); out.append(loaded())\n"
             "main(['optimize', '--var', 'k', '--lo', '0.5', '--hi', '2']); out.append(loaded())\n"
             "main(['sweep', '--var', 'm', '--points', '3', '--out', 'x.csv']); "
+            "out.append(loaded())\n"
+            "from cosmo_qfi.sweeps import _MIN_ROWS_PER_WORKER as rows\n"
+            "main(['sweep', '--var', 'm', '--points', str(2 * rows), '--out', 'y.csv']); "
             "out.append(loaded())\n"
             "import cosmo_qfi, cosmo_qfi.oracle\n"
             "out.append([cosmo_qfi.kernel_backend, *loaded()])\n"
@@ -253,10 +258,10 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     (verified,) = _loaded_after(
         tmp_path, "main(['verify', '--points', '2', '--ode-points', '1']); out.append(loaded())\n")
     # no module of the package, once all are loaded, pulls in NumPy or SciPy,
-    # nor `typing`, `dataclasses` or `inspect`, whose imports alone cost
-    # milliseconds per command
-    heavy = ("numpy", "scipy", "typing", "dataclasses", "inspect")
-    for loaded in (point, optimized, swept, verified, everything):
+    # nor `typing`, `dataclasses`, `inspect` or `multiprocessing`, whose
+    # imports alone cost milliseconds per command
+    heavy = ("numpy", "scipy", "typing", "dataclasses", "inspect", "multiprocessing")
+    for loaded in (point, optimized, swept, forked, verified, everything):
         assert not [m for m in loaded if m.split(".")[0] in heavy]
     for loaded in (point, optimized, swept):
         assert not {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} & set(loaded)
@@ -268,7 +273,7 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     # not for the closed-form commands, nor to read the backend or import
     # every module, but for `verify` when it is the selected backend
     assert backend_read[0] in ("pure", "compiled")
-    for loaded in (point, optimized, swept, backend_read, everything):
+    for loaded in (point, optimized, swept, forked, backend_read, everything):
         assert "cosmo_qfi._kernel.pure" not in loaded
     assert ("cosmo_qfi._kernel.pure" in verified) == (backend_read[0] == "pure")
     # the oracle runs on the calling thread: verify needs no sweep engine or pool

@@ -1,6 +1,8 @@
 """Sweep engine and bounded optimization."""
 
 import math
+import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -261,6 +263,124 @@ def test_explicit_thread_count_is_honoured(monkeypatch):
     for unset in ("0", ""):
         monkeypatch.setenv("COSMO_QFI_THREADS", unset)
         assert sweeps._thread_count() == 1
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sweeps of 12 rows or more spread over 3 processes; the list of the
+    children forked (by pid) grows as the sweep forks them."""
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_forked_sweep_gives_the_serial_rows(forks, monkeypatch):
+    specs = [
+        SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED),
+        # X is subnormal from eps ~ 19690 up: the last 22 rows are NaN rows
+        SweepSpec("eps", 0.01, 30000.0, 64, ModelParams(1.0, 7.2e-5, 120.0)),
+    ]
+    forked = [sweep(spec) for spec in specs]
+    assert len(forks) == 4 and _no_children_left()
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
+    serial = [sweep(spec) for spec in specs]
+    assert len(forks) == 4
+    assert repr(forked) == repr(serial)
+    assert sum(math.isnan(row.qfi) for row in forked[1]) == 22
+
+
+def test_a_slice_that_cannot_be_forked_is_computed_by_the_caller(forks, monkeypatch):
+    # the first fork succeeds and the second fails, as when no process is left
+    spec = SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED)
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise BlockingIOError("no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    rows = sweep(spec)
+    assert len(forks) == 1 and _no_children_left()
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
+    assert repr(rows) == repr(sweep(spec))
+
+
+def test_sweep_stays_serial_on_one_cpu(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert len(sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))) == 64
+    assert forks == []
+
+
+def test_sweep_stays_serial_at_its_default_size(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert sweeps._process_count(200) == 1
+
+
+def test_process_count_falls_back_to_the_cpu_count(forks, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert sweeps._process_count(64) == 2
+
+
+def test_sweep_stays_serial_beside_another_thread(forks):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        rows = sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(rows) == 64 and forks == []
+
+
+def _failing_at(monkeypatch, failing):
+    real = sweeps._eval_row
+
+    def eval_row(p, trials, deriv_method):
+        if failing(p.m_tilde):
+            raise _Boom(p.m_tilde)
+        return real(p, trials, deriv_method)
+
+    monkeypatch.setattr(sweeps, "_eval_row", eval_row)
+
+
+def test_a_workers_error_reaches_the_caller_with_its_type(forks, monkeypatch):
+    # only the last of the three slices fails, so only a child raises
+    _failing_at(monkeypatch, lambda m: m > 7.0)
+    with pytest.raises(_Boom):
+        sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
+    assert len(forks) == 2 and _no_children_left()
+
+
+def test_the_callers_error_leaves_no_child_behind(forks, monkeypatch):
+    # the calling process fails on its own slice while both children run
+    _failing_at(monkeypatch, lambda m: m < 0.2)
+    with pytest.raises(_Boom):
+        sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
+    assert len(forks) == 2 and _no_children_left()
 
 
 def test_sweep_nan_qfi_point_becomes_nan_row():
