@@ -24,16 +24,12 @@ it to the C twin step for step and to SciPy's DOP853.
 Importing this package does not import the pure twin: `BACKEND` is set from
 the attempt to import `_mode_rk`, and `impl` resolves to `pure` on first
 access through the module `__getattr__` (PEP 562), so only the commands that
-integrate the mode equation compile it.  The status codes live here; both
-twins return them.
+integrate the mode equation compile it.  Both twins return only on success:
+a failed run raises RuntimeError whose whole message is the cause, "step
+budget exhausted", "step size underflow" or "non-finite error estimate".
 """
 
 from __future__ import annotations
-
-STATUS_OK = 0
-STATUS_MAX_STEPS = 1
-STATUS_UNDERFLOW = 2
-STATUS_NONFINITE = 3
 
 try:
     from . import _mode_rk as impl

@@ -1,7 +1,7 @@
 /* Compiled DOP853 stepper for the mode equation.
  *
- * Twin of cosmo_qfi._kernel.pure: same tableau, same step controller, same
- * status codes, same positional-only arguments and the same floating-point
+ * Twin of cosmo_qfi._kernel.pure: same tableau, step controller, failure
+ * messages and positional-only arguments, and the same floating-point
  * operations in the same order, so the two backends are interchangeable.
  * Both advance one solution, and integrate_pair_drift gauges it by its
  * conserved Dirac norm; it keeps the name of the stacked pair and Wronskian
@@ -20,8 +20,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
-
-enum { ST_OK = 0, ST_MAX_STEPS = 1, ST_UNDERFLOW = 2, ST_NONFINITE = 3 };
 
 /* DOP853 tableau, as in Hairer's dop853.f (the decimal literals of SciPy's
  * dop853_coefficients); see pure.py for the naming. */
@@ -158,9 +156,10 @@ static double combined_error(double h, double err5, double err3)
 
 /* Advance the 4-component y in place from eta0 to eta1; *max_dev is the
  * largest |n - n0| over the accepted steps, n the dirac_norm and n0 its
- * value at eta0. */
-static int advance(const Coeffs *c, double eta0, double eta1, double *y, double rtol,
-                   double atol, double n0, double *max_dev, long *accepted)
+ * value at eta0.  Returns NULL, or the failure's message; it touches no
+ * Python object, so it runs without the GIL. */
+static const char *advance(const Coeffs *c, double eta0, double eta1, double *y, double rtol,
+                           double atol, double n0, double *max_dev, long *accepted)
 {
     double k[12][4], yt[4], s[4], ynew[4];
     double eta = eta0, h = eta1 - eta0;
@@ -176,9 +175,9 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, double 
         double err5 = 0.0, err3 = 0.0, err, fac;
         int last;
         if (++attempts > MAX_STEPS)
-            return ST_MAX_STEPS;
+            return "step budget exhausted";
         if (h < 1e-14 * pymax(1.0, fabs(eta)))
-            return ST_UNDERFLOW;
+            return "step size underflow";
         last = eta + h >= eta1;
         if (last)
             h = eta1 - eta;
@@ -226,7 +225,7 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, double 
             fac = err == 0.0 ? 5.0 : clamp(0.9 * pow(err, -0.125), 0.2, 5.0);
         } else if (isnan(err)) {
             /* No step size makes a NaN estimate pass; stop before h turns NaN. */
-            return ST_NONFINITE;
+            return "non-finite error estimate";
         } else {
             fac = clamp(0.9 * pow(err, -0.125), 0.2, 1.0);
         }
@@ -234,18 +233,19 @@ static int advance(const Coeffs *c, double eta0, double eta1, double *y, double 
         if (h > H_MAX)
             h = H_MAX;
     }
-    return ST_OK;
+    return NULL;
 }
 
 /* Shared body of both entry points: parse, integrate, return (state tuple,
- * [max norm drift,] accepted step count, status).  Its "(dddd)" unit reads
- * any 4-item sequence of numbers into y and raises TypeError otherwise. */
+ * [max norm drift,] accepted step count), or raise RuntimeError with the
+ * failure's message.  Its "(dddd)" unit reads any 4-item sequence of numbers
+ * into y and raises TypeError otherwise. */
 static PyObject *integrate(PyObject *args, const char *fmt, int with_drift)
 {
     Coeffs c;
     double eta0, eta1, rtol, atol, y[4], n0, max_dev;
     long accepted;
-    int status;
+    const char *failure;
 
     if (!PyArg_ParseTuple(args, fmt, &c.eps, &c.m, &c.k, &eta0, &eta1, &y[0], &y[1], &y[2],
                           &y[3], &rtol, &atol))
@@ -256,13 +256,17 @@ static PyObject *integrate(PyObject *args, const char *fmt, int with_drift)
         return NULL;
     }
     Py_BEGIN_ALLOW_THREADS
-    status = advance(&c, eta0, eta1, y, rtol, atol, n0, &max_dev, &accepted);
+    failure = advance(&c, eta0, eta1, y, rtol, atol, n0, &max_dev, &accepted);
     Py_END_ALLOW_THREADS
+    if (failure != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, failure);
+        return NULL;
+    }
     if (!with_drift)
-        return Py_BuildValue("(dddd)li", y[0], y[1], y[2], y[3], accepted, status);
+        return Py_BuildValue("(dddd)l", y[0], y[1], y[2], y[3], accepted);
     /* The largest step drift to the bit; see pure.integrate_pair_drift. */
-    return Py_BuildValue("(dddd)dli", y[0], y[1], y[2], y[3],
-                         n0 < INFINITY ? max_dev / n0 : 0.0, accepted, status);
+    return Py_BuildValue("(dddd)dl", y[0], y[1], y[2], y[3],
+                         n0 < INFINITY ? max_dev / n0 : 0.0, accepted);
 }
 
 static PyObject *integrate_endpoint(PyObject *self, PyObject *args)
@@ -281,13 +285,14 @@ static PyMethodDef methods[] = {
     {"integrate_endpoint", integrate_endpoint, METH_VARARGS,
      "integrate_endpoint" SIGNATURE
      "Integrate one solution; y0 has 4 components.\n\n"
-     "Returns (endpoint state tuple, accepted step count, status)."},
+     "Returns (endpoint state tuple, accepted step count); raises\n"
+     "RuntimeError if the integration fails."},
     {"integrate_pair_drift", integrate_pair_drift, METH_VARARGS,
      "integrate_pair_drift" SIGNATURE
      "Integrate one solution, tracking its Dirac norm at every accepted\n"
      "step.  y0 has 4 components.\n\n"
      "Returns (endpoint state tuple, max relative norm drift, accepted step\n"
-     "count, status)."},
+     "count); raises RuntimeError if the integration fails."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -303,11 +308,7 @@ PyMODINIT_FUNC PyInit__mode_rk(void)
     PyObject *mod = PyModule_Create(&module);
     if (mod == NULL)
         return NULL;
-    if (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0
-        || PyModule_AddIntConstant(mod, "STATUS_OK", ST_OK) < 0
-        || PyModule_AddIntConstant(mod, "STATUS_MAX_STEPS", ST_MAX_STEPS) < 0
-        || PyModule_AddIntConstant(mod, "STATUS_UNDERFLOW", ST_UNDERFLOW) < 0
-        || PyModule_AddIntConstant(mod, "STATUS_NONFINITE", ST_NONFINITE) < 0) {
+    if (PyModule_AddStringConstant(mod, "BACKEND", "compiled") < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -1,10 +1,10 @@
 """Pure-Python DOP853 stepper for the mode equation.
 
 Twin of the compiled kernel in `_mode_rk.c`: the same tableau, the same step
-controller, the same status codes, the same positional-only arguments and the
-same floating-point operations in the same order, so either backend can serve
-the oracle.  The state is one solution as the flat float vector
-(re psi, im psi, re psi', im psi').
+controller, the same RuntimeError message for each failure, the same
+positional-only arguments and the same floating-point operations in the same
+order, so either backend can serve the oracle.  The state is one solution as
+the flat float vector (re psi, im psi, re psi', im psi').
 
 The equation integrated is
 
@@ -46,8 +46,6 @@ that name.
 from __future__ import annotations
 
 import math
-
-from . import STATUS_MAX_STEPS, STATUS_NONFINITE, STATUS_OK, STATUS_UNDERFLOW
 
 BACKEND = "pure"
 
@@ -153,13 +151,15 @@ def _error(h, err5, err3):
     return h * err5 / math.sqrt(den)
 
 
-def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
+def _march(name, with_drift, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     """Advance the 4-component y0 from eta0 to eta1, tracking the Dirac norm
     as n = k^2 N, which drifts by the same relative amount and needs no
-    division, so the zero state passes.
+    division, so the zero state passes unless `with_drift` (as the C twin,
+    it is refused before the first step).
 
     Returns (endpoint state tuple, initial n0, max |n - n0| over the
-    accepted steps, accepted step count, status).
+    accepted steps, accepted step count), or raises RuntimeError whose
+    message is the failure.
     """
     y = tuple(y0)
     if len(y) != 4:
@@ -176,6 +176,8 @@ def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     mu = m_tilde * a
     x, z = d.real + mu * p.imag, d.imag - mu * p.real
     n0 = kk * (p.real * p.real + p.imag * p.imag) + (x * x + z * z)
+    if with_drift and n0 == 0.0:
+        raise ValueError("initial Dirac norm vanishes")
     max_dev = 0.0
     W = complex(kk + mm * a * a, v_amp * (1.0 - th * th))
     f0 = -(W * p)
@@ -183,15 +185,12 @@ def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
     h = min(_H_INIT, eta1 - eta0)
     accepted = 0
     attempts = 0
-    status = STATUS_OK
     while eta < eta1:
         attempts += 1
         if attempts > _MAX_STEPS:
-            status = STATUS_MAX_STEPS
-            break
+            raise RuntimeError("step budget exhausted")
         if h < 1e-14 * max(1.0, abs(eta)):
-            status = STATUS_UNDERFLOW
-            break
+            raise RuntimeError("step size underflow")
         last = eta + h >= eta1
         if last:
             h = eta1 - eta
@@ -304,22 +303,22 @@ def _march(name, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol):
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         elif math.isnan(err):
             # No step size makes a NaN estimate pass: stop, not spin to the budget.
-            status = STATUS_NONFINITE
-            break
+            raise RuntimeError("non-finite error estimate")
         else:
             fac = max(0.2, min(1.0, 0.9 * err ** -0.125))
         h = min(h * fac, _H_MAX)
-    return (p.real, p.imag, d.real, d.imag), n0, max_dev, accepted, status
+    return (p.real, p.imag, d.real, d.imag), n0, max_dev, accepted
 
 
 def integrate_endpoint(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol, /):
     """Integrate one solution; y0 has 4 components.
 
-    Returns (endpoint state tuple, accepted step count, status).
+    Returns (endpoint state tuple, accepted step count); raises RuntimeError
+    if the integration fails.
     """
-    y, _, _, steps, status = _march(
-        "integrate_endpoint", eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
-    return y, steps, status
+    y, _, _, steps = _march(
+        "integrate_endpoint", False, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
+    return y, steps
 
 
 def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol, /):
@@ -327,13 +326,11 @@ def integrate_pair_drift(eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol
     step.  y0 has 4 components.
 
     Returns (endpoint state tuple, max relative norm drift, accepted step
-    count, status).
+    count); raises RuntimeError if the integration fails.
     """
-    y, n0, dev, steps, status = _march(
-        "integrate_pair_drift", eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
-    if n0 == 0.0:
-        raise ValueError("initial Dirac norm vanishes")
+    y, n0, dev, steps = _march(
+        "integrate_pair_drift", True, eps, m_tilde, k_tilde, eta0, eta1, y0, rel_tol, abs_tol)
     # Rounding a division by a positive n0 is monotone, so max|n - n0| / n0
     # is the largest step drift to the bit.  An infinite or NaN n0 makes
     # every step's drift NaN, and a NaN drift never raises the maximum.
-    return y, dev / n0 if n0 < math.inf else 0.0, steps, status
+    return y, dev / n0 if n0 < math.inf else 0.0, steps

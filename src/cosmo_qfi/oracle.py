@@ -77,15 +77,6 @@ def _check_window(p: ModelParams, span: float) -> None:
         )
 
 
-def _raise_on_status(status: int, p: ModelParams) -> None:
-    if status == _kernel.STATUS_MAX_STEPS:
-        raise IntegrationError(f"step budget exhausted at {p}")
-    if status == _kernel.STATUS_UNDERFLOW:
-        raise IntegrationError(f"step size underflow at {p}")
-    if status == _kernel.STATUS_NONFINITE:
-        raise IntegrationError(f"non-finite error estimate at {p}")
-
-
 def _in_mode_state(omega_in: float, eta0: float) -> tuple[float, float, float, float]:
     # psi = exp(-i omega_in eta), dpsi = -i omega_in psi at eta0.
     psi = cmath.exp(-1j * omega_in * eta0)
@@ -105,16 +96,17 @@ def integrate_mode(p: ModelParams) -> MatchResult:
 
     y = _in_mode_state(f.omega_in, eta0)
     checkpoint = span - _CHECKPOINT_BACKOFF
-    y, d1, steps1, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, eta0, checkpoint, y, rel_tol, abs_tol
-    )
-    _raise_on_status(status, p)
-    psi_c = complex(y[0], y[1])
-    dpsi_c = complex(y[2], y[3])
-    y, d2, steps2, status = _kernel.impl.integrate_pair_drift(
-        p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, rel_tol, abs_tol
-    )
-    _raise_on_status(status, p)
+    try:
+        y, d1, steps1 = _kernel.impl.integrate_pair_drift(
+            p.eps, p.m_tilde, p.k_tilde, eta0, checkpoint, y, rel_tol, abs_tol
+        )
+        psi_c = complex(y[0], y[1])
+        dpsi_c = complex(y[2], y[3])
+        y, d2, steps2 = _kernel.impl.integrate_pair_drift(
+            p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, rel_tol, abs_tol
+        )
+    except RuntimeError as exc:  # the kernel's message is the cause alone
+        raise IntegrationError(f"{exc} at {p}") from None
     psi = complex(y[0], y[1])
     dpsi = complex(y[2], y[3])
 

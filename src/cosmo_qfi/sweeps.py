@@ -147,12 +147,24 @@ def _process_count(points: int) -> int:
     return max(1, min(cpus, points // _MIN_ROWS_PER_WORKER))
 
 
+def _reap(pid: int, kill: bool = False) -> None:
+    """Wait for the child `pid`, killed first if `kill`.  Where SIGCHLD is
+    ignored the system reaps it, and the wait finds nothing to collect."""
+    try:
+        if kill:
+            os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+    except (ChildProcessError, ProcessLookupError):
+        pass
+
+
 def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
     """[fn(v) for v in values], spread over `processes` contiguous slices.
 
     The calling process computes the first slice; a forked child computes
     each other one and sends its rows back through a pipe as plain tuples
-    with marshal.  Rows come back in grid order.  A slice whose child fails,
+    with marshal.  Rows come back in grid order.  A slice whose child sent
+    no whole payload of one row per value (marshal refuses a truncated one),
     or could not be forked, is computed here, so its error is raised as on
     the serial path.  Every child is reaped before this returns or raises.
     """
@@ -169,13 +181,11 @@ def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
                 os.close(w)
                 break
             if pid == 0:
-                code = 1
-                try:
+                try:  # the caller judges the payload, not the exit status
                     with open(w, "wb") as pipe:
                         pipe.write(marshal.dumps([tuple(fn(v)) for v in part]))
-                    code = 0
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             os.close(w)
             children.append((pid, r, part))
         rows = [fn(v) for v in slices[0]]
@@ -186,8 +196,13 @@ def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
                 data = pipe.read()
             del children[0]
             os.close(r)
-            if os.waitpid(pid, 0)[1] == 0:
-                rows += [tuple.__new__(SweepRow, t) for t in marshal.loads(data)]
+            _reap(pid)
+            try:
+                got = marshal.loads(data)
+            except (EOFError, ValueError):  # nothing written, or cut short
+                got = ()
+            if len(got) == len(part):
+                rows += [tuple.__new__(SweepRow, t) for t in got]
             else:
                 rows += [fn(v) for v in part]
         for part in slices[done:]:
@@ -196,8 +211,7 @@ def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
     finally:
         for pid, r, _ in children:
             os.close(r)
-            os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+            _reap(pid, kill=True)
 
 
 def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
@@ -228,10 +242,7 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
     if threads > 1 and spec.points >= 32:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, values))
-    processes = _process_count(spec.points)
-    if processes > 1:
-        return _forked_rows(one, values, processes)
-    return [one(v) for v in values]
+    return _forked_rows(one, values, _process_count(spec.points))
 
 
 class OptimumResult(namedtuple(

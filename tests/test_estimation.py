@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -307,6 +308,28 @@ def test_forked_sweep_gives_the_serial_rows(forks, monkeypatch):
     assert len(forks) == 4
     assert repr(forked) == repr(serial)
     assert sum(math.isnan(row.qfi) for row in forked[1]) == 22
+
+
+def test_forked_sweep_survives_an_ignored_sigchld(forks, monkeypatch):
+    # With SIGCHLD ignored the system reaps the children itself, so a wait
+    # for one finds none; their rows are still taken, not recomputed.
+    spec = SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED)
+    real, computed = sweeps._eval_row, []
+
+    def eval_row(*args):
+        computed.append(args)  # the children append to their own copies
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "_eval_row", eval_row)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        rows = sweep(spec)
+        assert len(forks) == 2 and _no_children_left()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(computed) == 64 // 3
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
+    assert repr(rows) == repr(sweep(spec))
 
 
 def test_a_slice_that_cannot_be_forked_is_computed_by_the_caller(forks, monkeypatch):

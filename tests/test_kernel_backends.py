@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import threading
 
 import pytest
 from scipy.integrate import solve_ivp
@@ -43,9 +44,8 @@ def test_backends_agree_on_endpoint(compiled):
     # The twins sum every stage in the same order, so they take the same steps.
     for eps, m, k in POINTS:
         y0 = _ic(_omega_in(m, k), -SPAN)
-        yp, sp, stp = pure.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
-        yc, sc, stc = compiled.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
-        assert stp == stc == 0
+        yp, sp = pure.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
+        yc, sc = compiled.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         assert sp == sc
         scale = max(abs(v) for v in yp)
         for a, b in zip(yp, yc):
@@ -55,9 +55,8 @@ def test_backends_agree_on_endpoint(compiled):
 def test_backends_agree_on_drift(compiled):
     for eps, m, k in POINTS:
         y0 = _ic(_omega_in(m, k), -SPAN)
-        _, dp, sp, stp = pure.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
-        _, dc, sc, stc = compiled.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
-        assert stp == stc == 0
+        _, dp, sp = pure.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
+        _, dc, sc = compiled.integrate_pair_drift(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
         assert sp == sc
         assert abs(dp - dc) <= 1e-10
 
@@ -80,8 +79,7 @@ def test_kernel_against_scipy(kernel):
         ]
 
     ref = solve_ivp(rhs, (-SPAN, SPAN), y0, method="DOP853", rtol=1e-12, atol=1e-13)
-    got, _, status = kernel.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
-    assert status == 0
+    got, _ = kernel.integrate_endpoint(eps, m, k, -SPAN, SPAN, y0, RTOL, ATOL)
     for a, b in zip(got, ref.y[:, -1]):
         assert abs(a - b) < 1e-8
 
@@ -124,31 +122,36 @@ def test_kernel_rejects_zero_norm_state(kernel):
     # and psi' both zero.
     with pytest.raises(ValueError, match="^initial Dirac norm vanishes$"):
         kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
+    # At k = 0 the norm is |psi' - i M psi|^2, zero for psi' = i M psi.  Both
+    # twins check it before the first step, so a run that would underflow
+    # raises the same ValueError.
+    mu = 1.0 + (1.0 + math.tanh(-SPAN))
+    with pytest.raises(ValueError, match="^initial Dirac norm vanishes$"):
+        kernel.integrate_pair_drift(1.0, 1.0, 0.0, -SPAN, SPAN, (1.0, 0.0, 0.0, mu),
+                                    1e-30, 1e-300)
 
 
 def test_kernel_reports_step_underflow(kernel):
     # No step meets a relative tolerance of 1e-30, so h shrinks to the floor.
     y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
-    _, _, status = kernel.integrate_endpoint(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
-    assert status == kernel.STATUS_UNDERFLOW == pure.STATUS_UNDERFLOW
-    _, _, _, status = kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
-    assert status == pure.STATUS_UNDERFLOW
+    for name in ("integrate_endpoint", "integrate_pair_drift"):
+        with pytest.raises(RuntimeError, match="^step size underflow$"):
+            getattr(kernel, name)(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-30, 1e-300)
 
 
 def test_kernel_stops_on_nan_error_estimate(kernel):
     # m^2 overflows to inf, so every error estimate is NaN.  Before the NaN
-    # stop, both twins spun until their 5 000 000-attempt budget ran out.
+    # stop, both twins spun until their 5 000 000-attempt budget ran out and
+    # would raise "step budget exhausted".
     y0 = _ic(1.0, -SPAN)
-    y, drift, steps, status = kernel.integrate_pair_drift(
-        1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
-    assert (y, drift, steps, status) == (y0, 0.0, 0, pure.STATUS_NONFINITE)
-    y, steps, status = kernel.integrate_endpoint(1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
-    assert (y, steps, status) == (y0, 0, pure.STATUS_NONFINITE)
-    # A NaN state has a NaN initial norm, against which no drift counts.
-    y0 = (math.nan, 0.0, 0.0, 1.0)
-    _, drift, steps, status = kernel.integrate_pair_drift(
-        1.0, 1.0, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
-    assert (drift, steps, status) == (0.0, 0, pure.STATUS_NONFINITE)
+    for name in ("integrate_endpoint", "integrate_pair_drift"):
+        with pytest.raises(RuntimeError, match="^non-finite error estimate$"):
+            getattr(kernel, name)(1.0, 1e160, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
+    # A NaN state has a NaN initial norm, which is not zero: the drift run
+    # starts, and stops on its first NaN estimate.
+    with pytest.raises(RuntimeError, match="^non-finite error estimate$"):
+        kernel.integrate_pair_drift(1.0, 1.0, 1.0, -SPAN, SPAN, (math.nan, 0.0, 0.0, 1.0),
+                                    RTOL, ATOL)
 
 
 def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
@@ -156,30 +159,32 @@ def test_kernel_rejects_steps_on_infinite_error_estimate(kernel):
     # rejected and h shrinks to the floor.  Hairer's formula taken literally
     # would read inf / inf as NaN and stop the run as non-finite instead.
     y0 = tuple(1e150 * v for v in _ic(_omega_in(1.0, 1.0), -SPAN))
-    args = (1.0, 1.0, 1.0, -SPAN, SPAN)
-    _, steps, status = kernel.integrate_endpoint(*args, y0, 1e-300, 1e-300)
-    assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
-    _, _, steps, status = kernel.integrate_pair_drift(*args, y0, 1e-300, 1e-300)
-    assert (steps, status) == (0, pure.STATUS_UNDERFLOW)
+    for name in ("integrate_endpoint", "integrate_pair_drift"):
+        with pytest.raises(RuntimeError, match="^step size underflow$"):
+            getattr(kernel, name)(1.0, 1.0, 1.0, -SPAN, SPAN, y0, 1e-300, 1e-300)
 
 
 def test_pure_kernel_reports_an_exhausted_step_budget(monkeypatch):
-    # The C twin's budget is fixed at compile time, so only the pure one is
-    # run out here; at (1, 1, 1) its first 10 attempts are all accepted.
+    # At (1, 1, 1) the pure twin's first 10 attempts are all accepted.
     monkeypatch.setattr(pure, "_MAX_STEPS", 10)
     y0 = _ic(_omega_in(1.0, 1.0), -SPAN)
-    args = (1.0, 1.0, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
-    _, steps, status = pure.integrate_endpoint(*args)
-    assert (steps, status) == (10, pure.STATUS_MAX_STEPS)
-    _, _, steps, status = pure.integrate_pair_drift(*args)
-    assert (steps, status) == (10, pure.STATUS_MAX_STEPS)
+    for name in ("integrate_endpoint", "integrate_pair_drift"):
+        with pytest.raises(RuntimeError, match="^step budget exhausted$"):
+            getattr(pure, name)(1.0, 1.0, 1.0, -SPAN, SPAN, y0, RTOL, ATOL)
+
+
+def test_compiled_kernel_reports_an_exhausted_step_budget(compiled):
+    # The C twin's budget of 5 000 000 attempts is fixed at compile time.  The
+    # zero state's steps are all accepted and grow to the largest step of 1,
+    # so a window of 6e6 runs the budget out (in about 1.5 s).
+    with pytest.raises(RuntimeError, match="^step budget exhausted$"):
+        compiled.integrate_endpoint(1.0, 1.0, 1.0, 0.0, 6e6, (0.0,) * 4, RTOL, ATOL)
 
 
 def test_kernel_accepts_zero_error_estimate(kernel):
     # The zero solution has a zero error estimate, which 0 / 0 would make NaN.
-    y, steps, status = kernel.integrate_endpoint(
-        1.0, 1.0, 1.0, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
-    assert (y, status) == ((0.0,) * 4, pure.STATUS_OK)
+    y, steps = kernel.integrate_endpoint(1.0, 1.0, 1.0, -SPAN, SPAN, (0.0,) * 4, RTOL, ATOL)
+    assert y == (0.0,) * 4
     assert steps > 0
 
 
@@ -210,9 +215,8 @@ def test_backends_agree_where_steps_are_rejected(compiled, monkeypatch):
     # agree on that path too, not only on runs of accepted steps.
     for eps, m, k, rtol, atol in LOOSE:
         args = (eps, m, k, -SPAN, SPAN, _ic(_omega_in(m, k), -SPAN), rtol, atol)
-        yp, dp, sp, stp = pure.integrate_pair_drift(*args)
-        yc, dc, sc, stc = compiled.integrate_pair_drift(*args)
-        assert stp == stc == pure.STATUS_OK
+        yp, dp, sp = pure.integrate_pair_drift(*args)
+        yc, dc, sc = compiled.integrate_pair_drift(*args)
         assert sp == sc
         assert dp > 0.0  # the norm was tracked
         assert abs(dp - dc) <= 1e-10
@@ -223,21 +227,20 @@ def test_backends_agree_where_steps_are_rejected(compiled, monkeypatch):
         # budget out.
         with monkeypatch.context() as patch:
             patch.setattr(pure, "_MAX_STEPS", sp)
-            assert pure.integrate_pair_drift(*args)[3] == pure.STATUS_MAX_STEPS
+            with pytest.raises(RuntimeError, match="^step budget exhausted$"):
+                pure.integrate_pair_drift(*args)
 
 
 @pytest.mark.parametrize("rtol, atol", [(RTOL, ATOL), (1e-6, 1e-8)])
 def test_endpoint_matches_the_drift_run(kernel, rtol, atol):
     for eps, m, k in POINTS:
         args = (eps, m, k, -SPAN, SPAN, _ic(_omega_in(m, k), -SPAN), rtol, atol)
-        y, _, steps, status = kernel.integrate_pair_drift(*args)
-        assert kernel.integrate_endpoint(*args) == (y, steps, status)
+        y, _, steps = kernel.integrate_pair_drift(*args)
+        assert kernel.integrate_endpoint(*args) == (y, steps)
 
 
 def test_compiled_kernel_exposes_the_pure_contract(compiled):
     assert compiled.BACKEND == "compiled"
-    for name in ("STATUS_OK", "STATUS_MAX_STEPS", "STATUS_UNDERFLOW", "STATUS_NONFINITE"):
-        assert getattr(compiled, name) == getattr(pure, name)
     # The C twin declares its signature in its docstring; an argument added to
     # or dropped from one twin alone shows here.
     for name in ("integrate_endpoint", "integrate_pair_drift"):
@@ -248,3 +251,34 @@ def test_selected_backend_exposes_contract():
     for name in ("integrate_endpoint", "integrate_pair_drift", "BACKEND"):
         assert hasattr(_kernel.impl, name)
     assert _kernel.BACKEND in ("pure", "compiled")
+
+
+def test_compiled_kernel_integrates_from_threads_at_once(compiled):
+    # The C twin steps with the GIL released.  Two threads integrate POINTS
+    # at once and get the serial results; one of them first makes a call
+    # that underflows, which raises in that thread alone.
+    jobs = [(getattr(compiled, name), (eps, m, k, -SPAN, SPAN, _ic(_omega_in(m, k), -SPAN),
+                                       RTOL, ATOL))
+            for eps, m, k in POINTS for name in ("integrate_endpoint", "integrate_pair_drift")]
+    serial = [run(*args) for run, args in jobs]
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def work(i):
+        out = []
+        start.wait(timeout=10)
+        if i:
+            try:
+                compiled.integrate_pair_drift(*jobs[1][1][:6], 1e-30, 1e-300)
+            except RuntimeError as exc:
+                out.append(exc)
+        results[i] = out + [run(*args) for run, args in jobs]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    failure, *rest = results[1]
+    assert type(failure) is RuntimeError and str(failure) == "step size underflow"
+    assert results[0] == rest == serial

@@ -103,10 +103,9 @@ def test_combined_drift_is_a_tight_bound(point):
     psi = cmath.exp(-1j * w * eta0)
     dpsi = -1j * w * psi
     y0 = (psi.real, psi.imag, dpsi.real, dpsi.imag)
-    _, full, _, status = _kernel.impl.integrate_pair_drift(
+    _, full, _ = _kernel.impl.integrate_pair_drift(
         p.eps, p.m_tilde, p.k_tilde, eta0, oracle.ETA_SPAN, y0, oracle.REL_TOL, oracle.ABS_TOL
     )
-    assert status == _kernel.STATUS_OK
     assert abs(drift - full) <= 0.05 * full
 
 
