@@ -38,7 +38,7 @@ from .bogoliubov import (
     ratio_sq,
 )
 from .cosmology import FrequencySet, ModelParams, frequencies, scale_factor
-from .errors import CosmoQfiError, DegenerateParameterError, IntegrationError
+from .errors import CosmoQfiError, DegenerateParameterError
 from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
@@ -68,7 +68,6 @@ __all__ = [
     "EstimationResult",
     "FINITE_DIFFERENCE",
     "FrequencySet",
-    "IntegrationError",
     "MatchResult",
     "ModelParams",
     "OptimumResult",

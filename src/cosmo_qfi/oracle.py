@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from . import _kernel
 from .cosmology import ModelParams, frequencies, scale_factor
-from .errors import DegenerateParameterError, IntegrationError
+from .errors import DegenerateParameterError
 
 _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
@@ -86,7 +86,8 @@ def _in_mode_state(omega_in: float, eta0: float) -> tuple[float, float, float, f
 
 def integrate_mode(p: ModelParams) -> MatchResult:
     """Integrate the mode equation across [-ETA_SPAN, ETA_SPAN] and match the
-    asymptotic plane waves."""
+    asymptotic plane waves.  A point out of the oracle's reach, a failed
+    integration included, raises DegenerateParameterError."""
     if p.m_tilde <= 0.0:
         raise DegenerateParameterError("integrate_mode requires m_tilde > 0")
     span, rel_tol, abs_tol = ETA_SPAN, REL_TOL, ABS_TOL
@@ -106,14 +107,14 @@ def integrate_mode(p: ModelParams) -> MatchResult:
             p.eps, p.m_tilde, p.k_tilde, checkpoint, span, y, rel_tol, abs_tol
         )
     except RuntimeError as exc:  # the kernel's message is the cause alone
-        raise IntegrationError(f"{exc} at {p}") from None
+        raise DegenerateParameterError(f"{exc} at {p}") from None
     psi = complex(y[0], y[1])
     dpsi = complex(y[2], y[3])
 
     w = f.omega_out
     plus, minus = w * psi + 1j * dpsi, w * psi - 1j * dpsi
     if plus == 0:
-        raise IntegrationError("matched transmission coefficient vanished")
+        raise DegenerateParameterError("matched transmission coefficient vanished")
 
     # Consistency of the match: the plane waves, carried back to the
     # checkpoint, must reproduce the solution there, where they were not fitted.

@@ -12,7 +12,8 @@ Sweep grid points are independent.  By default `sweep` runs on the calling
 thread, and a sweep large enough to give every CPU this process may run on
 at least `_MIN_ROWS_PER_WORKER` rows is split into contiguous slices, one
 per CPU: forked worker processes compute all but the first and send their
-rows back through pipes.  Its pure-Python loop holds the GIL, so processes,
+rows back through pipes, and the caller computes every slice it does not
+receive whole.  Its pure-Python loop holds the GIL, so processes,
 not threads, are what run it in parallel.  A COSMO_QFI_THREADS value above 1
 runs the sweep on that many threads instead (a negative or non-integer
 value is a usage error).  Row order and values depend on neither.
@@ -64,8 +65,8 @@ class SweepSpec(namedtuple("SweepSpec", ("variable", "lo", "hi", "points", "fixe
         lo_min_ok = lo > 0.0 or (lo == 0.0 and variable == "m_tilde")
         if not lo_min_ok:
             raise ValueError(f"lo must be > 0 (>= 0 for m_tilde), got {lo}")
-        if not hi > lo:
-            raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
+        if not lo < hi < math.inf:
+            raise ValueError(f"hi must be finite and exceed lo, got [{lo}, {hi}]")
         try:
             points = operator.index(points)
         except TypeError:
@@ -112,9 +113,7 @@ def _params_at(fixed: ModelParams, variable: str, value: float) -> ModelParams:
         return ModelParams(value, m_tilde, k_tilde)
     if variable == "m_tilde":
         return ModelParams(eps, value, k_tilde)
-    if variable == "k_tilde":
-        return ModelParams(eps, m_tilde, value)
-    raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
+    return ModelParams(eps, m_tilde, value)
 
 
 def _thread_count() -> int:
@@ -161,55 +160,56 @@ def _reap(pid: int, kill: bool = False) -> None:
 def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
     """[fn(v) for v in values], spread over `processes` contiguous slices.
 
-    The calling process computes the first slice; a forked child computes
-    each other one and sends its rows back through a pipe as plain tuples
-    with marshal.  Rows come back in grid order.  A slice whose child sent
-    no whole payload of one row per value (marshal refuses a truncated one),
-    or could not be forked, is computed here, so its error is raised as on
-    the serial path.  Every child is reaped before this returns or raises.
+    A forked child computes each slice but the first and sends its rows back
+    through a pipe as plain tuples with marshal.  The slices are then taken
+    in grid order: a slice's rows are its child's whole payload of one row
+    per value (marshal refuses a truncated one), or else are computed here,
+    so the first slice, a slice whose pipe or fork failed and a slice whose
+    child sent too little all raise their errors as on the serial path.
+    Every child is reaped before this returns or raises.
     """
     cuts = [len(values) * i // processes for i in range(processes + 1)]
     slices = [values[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []  # (pid, read end, slice), not yet reaped
+    children = {}  # slice index -> (pid, read end), not yet reaped
     try:
-        for part in slices[1:]:
-            r, w = os.pipe()
+        for i in range(1, processes):
+            fds = ()
             try:
+                r, w = fds = os.pipe()
                 pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
+            except OSError:  # no descriptor or process to spare
+                for fd in fds:
+                    os.close(fd)
                 break
             if pid == 0:
                 try:  # the caller judges the payload, not the exit status
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps([tuple(fn(v)) for v in part]))
+                        pipe.write(marshal.dumps([tuple(fn(v)) for v in slices[i]]))
                 finally:
                     os._exit(0)
             os.close(w)
-            children.append((pid, r, part))
-        rows = [fn(v) for v in slices[0]]
-        done = 1 + len(children)
-        while children:
-            pid, r, part = children[0]
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            del children[0]
-            os.close(r)
-            _reap(pid)
-            try:
-                got = marshal.loads(data)
-            except (EOFError, ValueError):  # nothing written, or cut short
-                got = ()
+            children[i] = (pid, r)
+        rows = []
+        for i, part in enumerate(slices):
+            got = ()
+            if i in children:
+                pid, r = children[i]
+                with open(r, "rb", closefd=False) as pipe:
+                    data = pipe.read()
+                del children[i]
+                os.close(r)
+                _reap(pid)
+                try:
+                    got = marshal.loads(data)
+                except (EOFError, ValueError):  # nothing written, or cut short
+                    pass
             if len(got) == len(part):
                 rows += [tuple.__new__(SweepRow, t) for t in got]
             else:
                 rows += [fn(v) for v in part]
-        for part in slices[done:]:
-            rows += [fn(v) for v in part]
         return rows
     finally:
-        for pid, r, _ in children:
+        for pid, r in children.values():
             os.close(r)
             _reap(pid, kill=True)
 
@@ -275,8 +275,8 @@ def optimize(
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
-    if not (lo > 0.0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got [{lo}, {hi}]")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"need 0 < lo < hi and a finite hi, got [{lo}, {hi}]")
 
     def objective(value: float) -> float:
         try:

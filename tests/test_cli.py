@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -171,6 +172,22 @@ def test_overflowing_bound_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error: bound 1/(trials*qfi) overflows at qfi=1e-322")
+
+
+@pytest.mark.parametrize(
+    "cause", ["step budget exhausted", "step size underflow", "non-finite error estimate"]
+)
+def test_integrator_failure_in_verify_exits_three(capsys, monkeypatch, cause):
+    # Each kernel failure reaches the CLI as one error line naming the first
+    # oracle point, before any table row is printed.
+    def integrate_pair_drift(*args):
+        raise RuntimeError(cause)
+
+    monkeypatch.setattr(cosmo_qfi._kernel, "impl",
+                        SimpleNamespace(integrate_pair_drift=integrate_pair_drift))
+    code, out, err = run(capsys, "verify", "--points", "2", "--ode-points", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error: {cause} at ModelParams(eps=1.0, m_tilde=1.0, k_tilde=1.0)\n"
 
 
 def _reject_constant(name):

@@ -81,6 +81,10 @@ def test_sweep_spec_validation():
         SweepSpec("m_tilde", 0.1, 10.0, 2.5, FIXED)  # sweep would hit a bare TypeError
     with pytest.raises(ValueError):
         SweepSpec("m_tilde", 5.0, 1.0, 10, FIXED)
+    for hi in (math.inf, math.nan):
+        message = rf"^hi must be finite and exceed lo, got \[0\.1, {hi}\]$"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec("m_tilde", 0.1, hi, 3, FIXED)
     with pytest.raises(ValueError):
         SweepSpec("k_tilde", 0.0, 1.0, 10, FIXED)  # zero lo only valid for mass
     with pytest.raises(ValueError):
@@ -143,6 +147,8 @@ def test_optimize_validation():
         optimize("k_tilde", 1.0, 1.0, FIXED)
     with pytest.raises(ValueError):
         optimize("anything", 0.1, 1.0, FIXED)
+    with pytest.raises(ValueError, match=r"^need 0 < lo < hi and a finite hi, got \[0\.1, inf\]$"):
+        optimize("m_tilde", 0.1, math.inf, FIXED)
 
 
 def test_verify_checks_thread_independent(monkeypatch):
@@ -345,6 +351,24 @@ def test_a_slice_that_cannot_be_forked_is_computed_by_the_caller(forks, monkeypa
     monkeypatch.setattr(os, "fork", fork_once)
     rows = sweep(spec)
     assert len(forks) == 1 and _no_children_left()
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
+    assert repr(rows) == repr(sweep(spec))
+
+
+def test_a_slice_whose_pipe_fails_is_computed_by_the_caller(forks, monkeypatch):
+    # the first pipe opens and the second fails, as when no descriptor is left
+    spec = SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED)
+    pipe, calls = os.pipe, []
+
+    def pipe_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise OSError(24, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe_once)
+    rows = sweep(spec)
+    assert len(calls) == 2 and len(forks) == 1 and _no_children_left()
     monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
     assert repr(rows) == repr(sweep(spec))
 

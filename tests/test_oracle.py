@@ -7,7 +7,6 @@ import pytest
 
 from cosmo_qfi import (
     DegenerateParameterError,
-    IntegrationError,
     ModelParams,
     _kernel,
     bogoliubov,
@@ -196,14 +195,14 @@ def test_requires_massive_field():
 
 def test_overflowing_mass_raises_integration_error():
     # m^2 overflows, so the first error estimate is NaN.
-    with pytest.raises(IntegrationError, match="non-finite error estimate"):
+    with pytest.raises(DegenerateParameterError, match="non-finite error estimate"):
         integrate_mode(ModelParams(1.0, 1e160, 1.0))
 
 
 def test_exhausted_step_budget_raises_integration_error(monkeypatch):
     monkeypatch.setattr(pure, "_MAX_STEPS", 10)
     monkeypatch.setattr(_kernel, "impl", pure)
-    with pytest.raises(IntegrationError, match="^step budget exhausted at "):
+    with pytest.raises(DegenerateParameterError, match="^step budget exhausted at "):
         integrate_mode(ModelParams(1.0, 1.0, 1.0))
 
 
@@ -213,5 +212,5 @@ def test_step_size_underflow_raises_integration_error(monkeypatch):
     monkeypatch.setattr(oracle, "REL_TOL", 1e-30)
     monkeypatch.setattr(oracle, "ABS_TOL", 1e-300)
     monkeypatch.setattr(_kernel, "impl", pure)
-    with pytest.raises(IntegrationError, match="^step size underflow at "):
+    with pytest.raises(DegenerateParameterError, match="^step size underflow at "):
         integrate_mode(ModelParams(1.0, 1.0, 1.0))

@@ -21,6 +21,7 @@ from cosmo_qfi import (
     probe,
     qfi_eps,
     sweep,
+    sweeps,
 )
 from cosmo_qfi.sweeps import SWEEP_VARIABLES, _params_at
 from cosmo_qfi.verify import CheckResult
@@ -135,9 +136,14 @@ def test_params_at_sets_only_the_swept_coordinate(variable):
         _params_at(FIXED, variable, -1.0)
 
 
-def test_sweep_points_are_validated():
-    spec = SweepSpec("m_tilde", 0.1, math.inf, 3, FIXED)
-    with pytest.raises(ValueError, match="m_tilde must be finite"):
-        sweep(spec)
-    with pytest.raises(ValueError, match="eps must be finite"):
+def test_sweep_points_are_validated(monkeypatch):
+    # An infinite hi is refused before any point is built or evaluated; a
+    # finite range keeps every grid point inside the admitted domain.
+    def evaluate(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(sweeps, "qfi_eps", evaluate)
+    with pytest.raises(ValueError, match="^hi must be finite"):
+        SweepSpec("m_tilde", 0.1, math.inf, 3, FIXED)
+    with pytest.raises(ValueError, match="a finite hi"):
         optimize("eps", 0.5, math.inf, FIXED)
