@@ -143,7 +143,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import SweepSpec, sweep
+    from .sweeps import SweepSpec, _thread_count, sweep
 
     variable = _VAR_FLAGS[args.var]
     spec = SweepSpec(
@@ -154,7 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fixed=_fixed_from_flags(args, variable),
         trials=args.trials,
     )
-    rows = sweep(spec, deriv_method=_DERIV_FLAGS[args.deriv_method])
+    _thread_count()  # a bad COSMO_QFI_THREADS is a usage error, which creates no file
     manifest = {
         "command": "sweep",
         "params": {
@@ -172,7 +172,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tool_version": __version__,
         "output_path": args.out,
     }
+    # Open the output before computing, so an unwritable path fails at once.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        rows = sweep(spec, deriv_method=_DERIV_FLAGS[args.deriv_method])
         fh.write(f"# manifest: {json.dumps(manifest)}\n")
         fh.write("value,qfi,bound,entropy,p1\n")
         for r in rows:

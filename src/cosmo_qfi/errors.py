@@ -8,4 +8,4 @@ class CosmoQfiError(Exception):
 class DegenerateParameterError(CosmoQfiError, ValueError):
     """A route cannot evaluate the closed forms, a derivative or the oracle
     at these model parameters; the oracle's configuration is fixed, so its
-    integrator failures are decided by the point and are raised as this."""
+    failures are decided by the point and are raised as this."""

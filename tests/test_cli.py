@@ -174,20 +174,18 @@ def test_overflowing_bound_exits_three(capsys):
     assert err.startswith("error: bound 1/(trials*qfi) overflows at qfi=1e-322")
 
 
-@pytest.mark.parametrize(
-    "cause", ["step budget exhausted", "step size underflow", "non-finite error estimate"]
-)
-def test_integrator_failure_in_verify_exits_three(capsys, monkeypatch, cause):
-    # Each kernel failure reaches the CLI as one error line naming the first
-    # oracle point, before any table row is printed.
+def test_integrator_failure_in_verify_exits_three(capsys, monkeypatch):
+    # A non-finite integration reaches the CLI as one error line naming the
+    # first oracle point, before any table row is printed.
     def integrate_pair_drift(*args):
-        raise RuntimeError(cause)
+        return (math.nan, 0.0, 1.0, 0.0), 0.0, args[-1]
 
     monkeypatch.setattr(cosmo_qfi._kernel, "impl",
                         SimpleNamespace(integrate_pair_drift=integrate_pair_drift))
     code, out, err = run(capsys, "verify", "--points", "2", "--ode-points", "1")
     assert (code, out) == (3, "")
-    assert err == f"error: {cause} at ModelParams(eps=1.0, m_tilde=1.0, k_tilde=1.0)\n"
+    assert err == (
+        "error: oracle X=nan, norm drift=0.0 at ModelParams(eps=1.0, m_tilde=1.0, k_tilde=1.0)\n")
 
 
 def _reject_constant(name):
@@ -307,6 +305,18 @@ def test_unwritable_output_exits_four(capsys, tmp_path):
     )
     assert code == 4
     assert err.strip()
+
+
+def test_unwritable_output_fails_before_sweeping(capsys, tmp_path, monkeypatch):
+    # The output is opened before any row is computed.
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept before opening the output")
+
+    monkeypatch.setattr("cosmo_qfi.sweeps.sweep", sweep)
+    out = tmp_path / "no_such_dir" / "curve.csv"
+    code, _, err = run(capsys, "sweep", "--var", "m", "--points", "100000", "--out", str(out))
+    assert code == 4
+    assert err.startswith("i/o error: ")
 
 
 def test_sweep_csv_contract(capsys, tmp_path):

@@ -1,0 +1,72 @@
+"""`verify`'s power: each fault injected into the closed form or into the
+oracle's Magnus step fails the rows listed with it.
+
+A fault is patched on every module of the package that holds the name, so a
+module that imported the name sees it too, and restored afterwards.  A
+change that rewrites a row updates this table in the same change.  The
+worst values in the comments are at `verify`'s defaults (10 grid points per
+axis, 5 oracle points).
+"""
+
+import sys
+
+import pytest
+
+from cosmo_qfi import _kernel, bogoliubov, cosmology, verify
+from cosmo_qfi._kernel import pure
+
+GAMMA, FD, ORACLE = "gamma-vs-sinh identity", "analytic-vs-fd derivative", "mode-equation oracle"
+
+_frequencies = cosmology.frequencies
+_dlnX_deps = bogoliubov._dlnX_deps
+_log_mixing_sq = bogoliubov._log_mixing_sq
+
+# fault -> ({name: replacement}, rows the fault must fail)
+FAULTS = {
+    # fd 5.0e-4, oracle 1.0e-3
+    "frequencies read at eps * 1.0005": (
+        {"frequencies": lambda p: _frequencies(p._replace(eps=p.eps * 1.0005))}, {FD, ORACLE}),
+    # gamma 2.2e-2, fd 1.1e-3, oracle 3.4e-2
+    "zeta_pm * (1 + 1e-3)": (
+        {"frequencies": lambda p: (lambda f: f._replace(zeta_pm=f.zeta_pm * (1.0 + 1e-3)))(
+            _frequencies(p))}, {GAMMA, FD, ORACLE}),
+    # fd 1.0e-5
+    "d ln X/d eps * (1 + 1e-5)": (
+        {"_dlnX_deps": lambda p: _dlnX_deps(p) * (1.0 + 1e-5)}, {FD}),
+    # gamma 1.0e-3, oracle 1.0e-3
+    "ln |B/A|^2 + 1e-3": (
+        {"_log_mixing_sq": lambda f: _log_mixing_sq(f) + 1e-3}, {GAMMA, ORACLE}),
+    # The Magnus faults patch the pure twin's constants; every run here uses
+    # that twin.  oracle 1.2e-3
+    "commutator sign flipped": ({"_R3_6": -pure._R3_6}, {ORACLE}),
+    # oracle 5.9e-4
+    "commutator dropped": ({"_R3_6": 0.0}, {ORACLE}),
+    # oracle 2.9e-4
+    "both Gauss nodes at the midpoint": ({"_G1": 0.5, "_G2": 0.5}, {ORACLE}),
+}
+
+
+def _patch(monkeypatch, replacements):
+    for name, fake in replacements.items():
+        holders = [mod for mod in list(sys.modules.values())
+                   if getattr(mod, "__name__", "").startswith("cosmo_qfi") and hasattr(mod, name)]
+        assert holders, name
+        for mod in holders:
+            monkeypatch.setattr(mod, name, fake)
+
+
+def _failed_rows():
+    return {r.name for r in verify.run_all() if not r.passed}
+
+
+def test_unpatched_verify_passes_every_row(monkeypatch):
+    monkeypatch.setattr(_kernel, "impl", pure)
+    assert _failed_rows() == set()
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_fails_its_rows(monkeypatch, fault):
+    replacements, rows = FAULTS[fault]
+    monkeypatch.setattr(_kernel, "impl", pure)
+    _patch(monkeypatch, replacements)
+    assert rows <= _failed_rows()
