@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,18 +175,39 @@ def test_overflowing_bound_exits_three(capsys):
     assert err.startswith("error: bound 1/(trials*qfi) overflows at qfi=1e-322")
 
 
-def test_integrator_failure_in_verify_exits_three(capsys, monkeypatch):
-    # A non-finite integration reaches the CLI as one error line naming the
-    # first oracle point, before any table row is printed.
+def _stub_integration(state, drift):
     def integrate_pair_drift(*args):
-        return (math.nan, 0.0, 1.0, 0.0), 0.0, args[-1]
+        return state, drift, args[-1]
+    return SimpleNamespace(integrate_pair_drift=integrate_pair_drift)
 
-    monkeypatch.setattr(cosmo_qfi._kernel, "impl",
-                        SimpleNamespace(integrate_pair_drift=integrate_pair_drift))
+
+# The ids keep the names of the adaptive controller's three failures; each
+# case is the failure of the fixed-step oracle that takes its place: the
+# grid over the step cap, a non-finite norm drift (the Magnus step's gauge of
+# its arithmetic), a state that vanished, and a non-finite state.
+@pytest.mark.parametrize("attr, value, cause", [
+    pytest.param("_MAX_STEPS", 2999,
+                 r"oracle grid exceeds 2999 steps \(omega_out 3\.16\d*\) at {p}",
+                 id="step budget exhausted"),
+    pytest.param("impl", _stub_integration((1.0, 0.0, 0.5, 0.0), math.inf),
+                 r"oracle X=[\d.e-]+, norm drift=inf at {p}",
+                 id="non-finite error estimate"),
+    pytest.param("impl", _stub_integration((0.0, 0.0, 0.0, 0.0), 0.0),
+                 r"matched transmission coefficient vanished",
+                 id="step size underflow"),
+    pytest.param("impl", _stub_integration((math.nan, 0.0, 1.0, 0.0), 0.0),
+                 r"oracle X=nan, norm drift=0\.0 at {p}",
+                 id="non-finite state"),
+])
+def test_integrator_failure_in_verify_exits_three(capsys, monkeypatch, attr, value, cause):
+    # Each oracle failure reaches the CLI as one error line, naming the
+    # first oracle point where the message carries one, before any table
+    # row is printed.
+    monkeypatch.setattr(cosmo_qfi._kernel if attr == "impl" else cosmo_qfi.oracle, attr, value)
     code, out, err = run(capsys, "verify", "--points", "2", "--ode-points", "1")
     assert (code, out) == (3, "")
-    assert err == (
-        "error: oracle X=nan, norm drift=0.0 at ModelParams(eps=1.0, m_tilde=1.0, k_tilde=1.0)\n")
+    point = re.escape("ModelParams(eps=1.0, m_tilde=1.0, k_tilde=1.0)")
+    assert re.fullmatch(f"error: {cause.format(p=point)}\n", err), err
 
 
 def _reject_constant(name):
