@@ -29,7 +29,7 @@ from ._kernel import BACKEND as kernel_backend
 from .bogoliubov import (
     ANALYTIC,
     FINITE_DIFFERENCE,
-    CreationFactor,
+    ProbeState,
     coefficients,
     dX_deps_analytic,
     dX_deps_fd,
@@ -42,7 +42,6 @@ from .errors import CosmoQfiError, DegenerateParameterError
 from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
-    ProbeState,
     probe,
     qfi_eps,
     state_entropy,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANALYTIC",
     "CosmoQfiError",
-    "CreationFactor",
     "DEFAULT_TRIALS",
     "DegenerateParameterError",
     "EstimationResult",

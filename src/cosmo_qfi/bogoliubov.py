@@ -18,7 +18,8 @@ expansion parameter ships in two independent implementations (exact chain
 rule and Richardson finite differences).
 `_dlnX_deps` is the one statement of the chain rule, d ln X/d eps, so a
 probe evaluates X once and `excitation_weight` forms dX = X * d ln X/d eps
-from it; `dX_deps_analytic` is the same product for callers that hold no X.
+from it, returning the probe state (p0, p1) = (1, X)/(1+X) with X and dX;
+`dX_deps_analytic` is the same product for callers that hold no X.
 """
 
 from __future__ import annotations
@@ -43,10 +44,8 @@ _LOG_TWO_PI = math.log(_TWO_PI)
 _GAMMA_ZETA_PP_MAX = 5e4
 
 
-class CreationFactor(namedtuple("CreationFactor", ("X", "dX_deps"))):
-    """Probe excitation weight X = |B/A|^2 * chi_abs^2 at one point and
-    dX_deps, its derivative in the expansion parameter.
-    """
+class ProbeState(namedtuple("ProbeState", ("p0", "p1", "X", "dX"))):
+    """Two-outcome diagonal probe state with its excitation weight."""
 
     __slots__ = ()
 
@@ -201,8 +200,9 @@ def dX_deps_fd(p: ModelParams) -> float:
     return (4.0 * d_half - d_full) / 3.0
 
 
-def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationFactor:
-    """Excitation weight X = |B/A|^2 * chi_abs^2 and its eps-derivative.
+def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> ProbeState:
+    """Probe state (1/(1+X), X/(1+X)) with the excitation weight
+    X = |B/A|^2 * chi_abs^2 and its eps-derivative dX.
 
     Where the weight is zero (m_tilde = 0) or underflows to zero, the
     derivative vanishes or underflows with it and is reported as zero rather
@@ -217,4 +217,5 @@ def excitation_weight(p: ModelParams, deriv_method: str = ANALYTIC) -> CreationF
         dX = X * _dlnX_deps(p)
     else:
         dX = dX_deps_fd(p)
-    return tuple.__new__(CreationFactor, (X, dX))
+    p0 = 1.0 / (1.0 + X)
+    return tuple.__new__(ProbeState, (p0, X * p0, X, dX))

@@ -110,10 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_flags(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(eps=args.eps, m_tilde=args.m, k_tilde=args.k)
-
-
 def _fixed_from_flags(args: argparse.Namespace, variable: str) -> ModelParams:
     # The coordinate being swept or optimized is a placeholder; it is
     # replaced at every grid point.
@@ -122,7 +118,7 @@ def _fixed_from_flags(args: argparse.Namespace, variable: str) -> ModelParams:
 
 
 def _cmd_point(args: argparse.Namespace) -> int:
-    params = _params_from_flags(args)
+    params = ModelParams(args.eps, args.m, args.k)
     deriv_method = _DERIV_FLAGS[args.deriv_method]
     est = qfi_eps(params, trials=args.trials, deriv_method=deriv_method)
     st = est.state

@@ -3,19 +3,20 @@
 `verify` measures the probe in its eigenbasis and compares the classical
 Fisher information of the two outcomes with the quantum Fisher information
 `qfi_eps` reports: equality is the paper's claim that the eigenprojector
-measurement is optimal.
+measurement is optimal.  The probe is the `ProbeState` that
+`bogoliubov.excitation_weight` builds.
 """
 
 from __future__ import annotations
 
-from .probe import ProbeState
+from .bogoliubov import ProbeState
 
 
 def classical_fisher(state: ProbeState) -> float:
     """Sum of dp^2/p over the outcomes p0, p1 of the probe's eigenbasis.
 
     dp1 = -dp0 = dX/(1+X)^2.  An outcome with p = 0 contributes nothing: it
-    occurs only at X = 0, where `probe` reports dX = 0.
+    occurs only at X = 0, where `excitation_weight` reports dX = 0.
     """
     dp = state.dX / (1.0 + state.X) ** 2
     total = 0.0

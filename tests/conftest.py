@@ -15,26 +15,39 @@ from cosmo_qfi._kernel import pure
 COMPILED = "cosmo_qfi._kernel._mode_rk"
 
 
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernel: the package's own build if there is one, else the
-    shipped _mode_rk.c compiled into a temporary directory and loaded from
-    there, without registering it as a package module.  The C source is
-    maintained by hand, so any compiler warning fails the build."""
-    try:
-        return importlib.import_module(COMPILED)
-    except ImportError:
-        pass
+def _build_kernel(directory: Path) -> Path:
+    """Compile the shipped _mode_rk.c into `directory` and return the built
+    module's path; skips the test where there is no C compiler or no Python
+    headers.  The C source is maintained by hand, so any compiler warning
+    fails the build."""
     cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
     include = Path(sysconfig.get_paths()["include"])
     if cc is None or not (include / "Python.h").is_file():
         pytest.skip("no C compiler or no Python headers to build the kernel")
     source = Path(pure.__file__).with_name("_mode_rk.c")
-    target = tmp_path_factory.mktemp("kernel") / (
-        "_mode_rk" + sysconfig.get_config_var("EXT_SUFFIX"))
+    target = directory / ("_mode_rk" + sysconfig.get_config_var("EXT_SUFFIX"))
     subprocess.run([cc, "-O3", "-Wall", "-Werror", "-shared", "-fPIC", f"-I{include}",
                     str(source), "-o", str(target)], check=True, capture_output=True,
                    timeout=300)
+    return target
+
+
+@pytest.fixture(scope="session")
+def build_kernel():
+    """`_build_kernel`, for tests that build the C twin where they need it."""
+    return _build_kernel
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel: the package's own build if there is one, else the
+    shipped _mode_rk.c compiled into a temporary directory and loaded from
+    there, without registering it as a package module."""
+    try:
+        return importlib.import_module(COMPILED)
+    except ImportError:
+        pass
+    target = _build_kernel(tmp_path_factory.mktemp("kernel"))
     spec = importlib.util.spec_from_file_location(COMPILED, target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

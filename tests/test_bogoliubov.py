@@ -171,12 +171,14 @@ def test_continuity_across_series_threshold():
 
 def test_excitation_weight_unit_point():
     p = ModelParams(1.0, 1.0, 1.0)
-    cf = excitation_weight(p)
+    st = excitation_weight(p)
     mixing = mixing_sq_sinh(p)
-    assert math.isclose(cf.X, FROZEN_X_UNIT, rel_tol=1e-12)
+    assert math.isclose(st.X, FROZEN_X_UNIT, rel_tol=1e-12)
     assert math.isclose(mixing, FROZEN_MIXING[(1.0, 1.0, 1.0)], rel_tol=1e-12)
-    assert math.isclose(cf.dX_deps, FROZEN_DX_UNIT, rel_tol=1e-11)
-    assert math.isclose(cf.X, mixing * frequencies(p).chi_abs**2, rel_tol=1e-14)
+    assert math.isclose(st.dX, FROZEN_DX_UNIT, rel_tol=1e-11)
+    assert math.isclose(st.X, mixing * frequencies(p).chi_abs**2, rel_tol=1e-14)
+    p0 = 1.0 / (1.0 + st.X)
+    assert (st.p0, st.p1) == (p0, st.X * p0)
 
 
 def test_excitation_weight_evaluates_the_mixing_once(monkeypatch):
@@ -190,9 +192,9 @@ def test_excitation_weight_evaluates_the_mixing_once(monkeypatch):
         return mixing(f)
 
     monkeypatch.setattr(bogoliubov, "_log_mixing_sq", counted)
-    cf = excitation_weight(ModelParams(1.0, 1.0, 1.0))
+    st = excitation_weight(ModelParams(1.0, 1.0, 1.0))
     assert len(calls) == 1
-    assert cf.dX_deps > 0.0
+    assert st.dX > 0.0
 
 
 def test_excitation_weight_massless_and_heavy_momentum():
@@ -255,8 +257,8 @@ def test_excitation_weight_method_flag():
     p = ModelParams(1.0, 1.0, 1.0)
     ana = excitation_weight(p, "analytic")
     fd = excitation_weight(p, "finite_difference")
-    assert (ana.dX_deps, fd.dX_deps) == (dX_deps_analytic(p), dX_deps_fd(p))
-    assert math.isclose(ana.dX_deps, fd.dX_deps, rel_tol=1e-6)
+    assert (ana.dX, fd.dX) == (dX_deps_analytic(p), dX_deps_fd(p))
+    assert math.isclose(ana.dX, fd.dX, rel_tol=1e-6)
     with pytest.raises(ValueError):
         excitation_weight(p, "symbolic")
 

@@ -3,11 +3,17 @@ the closed-form rotation."""
 
 import inspect
 import math
+import os
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from scipy.integrate import solve_ivp
 
+import cosmo_qfi
 from cosmo_qfi import _kernel, verify
 from cosmo_qfi._kernel import pure
 
@@ -175,6 +181,32 @@ def test_selected_backend_exposes_contract():
     for name in ("integrate_endpoint", "integrate_pair_drift", "BACKEND"):
         assert hasattr(_kernel.impl, name)
     assert _kernel.BACKEND in ("pure", "compiled")
+
+
+def test_package_selects_a_built_kernel(build_kernel, tmp_path):
+    # A copy of the package selects the pure twin, then, once _mode_rk is
+    # built into its _kernel/, the compiled one at import; the twins return
+    # the same bits, so verify prints the same bytes on both.
+    package = tmp_path / "cosmo_qfi"
+    shutil.copytree(Path(cosmo_qfi.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COSMO_QFI_")}
+    env["PYTHONPATH"] = str(tmp_path)
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout
+
+    selected = ("-c", "import cosmo_qfi, cosmo_qfi._kernel as k; "
+                      "print(cosmo_qfi.kernel_backend, k.__file__)")
+    verify_cmd = ("-m", "cosmo_qfi.cli", "verify", "--points", "3", "--ode-points", "2")
+    kernel_file = package / "_kernel" / "__init__.py"
+    assert run(*selected) == f"pure {kernel_file}\n"
+    on_pure = run(*verify_cmd)
+    build_kernel(package / "_kernel")
+    assert run(*selected) == f"compiled {kernel_file}\n"
+    assert run(*verify_cmd) == on_pure
+    assert on_pure.endswith("all checks passed\n")
 
 
 def test_compiled_kernel_integrates_from_threads_at_once(compiled):

@@ -6,7 +6,6 @@ import math
 import pytest
 
 from cosmo_qfi import (
-    CreationFactor,
     EstimationResult,
     FrequencySet,
     MatchResult,
@@ -32,7 +31,6 @@ FIXED = ModelParams(1.0, 1.0, 1.0)
 FIELDS = {
     FrequencySet: ("omega_in", "omega_out", "zeta_pp", "zeta_pm", "zeta_mp", "zeta_mm",
                    "mu_out", "chi_abs"),
-    CreationFactor: ("X", "dX_deps"),
     ProbeState: ("p0", "p1", "X", "dX"),
     EstimationResult: ("qfi", "state", "bound"),
     SweepRow: ("value", "qfi", "bound", "entropy", "p1"),
@@ -46,7 +44,7 @@ FIELDS = {
 # field count: each function at a point it returns.
 RESULTS = {
     "frequencies": (frequencies, FrequencySet),
-    "excitation_weight": (excitation_weight, CreationFactor),
+    "excitation_weight": (excitation_weight, ProbeState),
     "probe": (probe, ProbeState),
     "qfi_eps": (qfi_eps, EstimationResult),
 }

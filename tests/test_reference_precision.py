@@ -168,4 +168,4 @@ def test_analytic_derivative_is_the_excitation_weights_to_the_bit():
     # Both are X * d ln X/d eps from the one derivative chain.
     for point in BOX_POINTS:
         p = ModelParams(*point)
-        assert dX_deps_analytic(p) == excitation_weight(p).dX_deps, point
+        assert dX_deps_analytic(p) == excitation_weight(p).dX, point

@@ -1,5 +1,6 @@
-"""`verify`'s power: each fault injected into the closed form or into the
-oracle's Magnus step fails the rows listed with it.
+"""`verify`'s power: each fault injected into the closed form, the QFI sum,
+the oracle's endpoint projection or its Magnus step fails the rows listed
+with it.
 
 A fault is patched on every module of the package that holds the name, so a
 module that imported the name sees it too, and restored afterwards.  A
@@ -12,14 +13,19 @@ import sys
 
 import pytest
 
-from cosmo_qfi import _kernel, bogoliubov, cosmology, verify
+from cosmo_qfi import _kernel, bogoliubov, cosmology, oracle, verify
 from cosmo_qfi._kernel import pure
 
 GAMMA, FD, ORACLE = "gamma-vs-sinh identity", "analytic-vs-fd derivative", "mode-equation oracle"
+LITERAL, OPTIMALITY = "qfi literal-vs-simplified", "measurement optimality"
 
 _frequencies = cosmology.frequencies
 _dlnX_deps = bogoliubov._dlnX_deps
 _log_mixing_sq = bogoliubov._log_mixing_sq
+_dlog_tail = bogoliubov._dlog_tail
+_domega_out_deps = cosmology.domega_out_deps
+_qfi_eps = verify.qfi_eps
+_eigen = oracle._eigen
 
 # fault -> ({name: replacement}, rows the fault must fail)
 FAULTS = {
@@ -36,6 +42,19 @@ FAULTS = {
     # gamma 1.0e-3, oracle 1.0e-3
     "ln |B/A|^2 + 1e-3": (
         {"_log_mixing_sq": lambda f: _log_mixing_sq(f) + 1e-3}, {GAMMA, ORACLE}),
+    # A sign error inside S: fd 1.6
+    "T'(z) negated": ({"_dlog_tail": lambda z: -_dlog_tail(z)}, {FD}),
+    # A sign error in G's coefficient dz_p: fd 1.0
+    "d omega_out/d eps negated": (
+        {"domega_out_deps": lambda p: -_domega_out_deps(p)}, {FD}),
+    # A wrong factor in the literal sum: literal 1.0e-6, optimality 1.0e-6
+    "qfi * (1 + 1e-6)": (
+        {"qfi_eps": lambda *args, **kwargs: (lambda est: est._replace(
+            qfi=est.qfi * (1.0 + 1e-6)))(_qfi_eps(*args, **kwargs))}, {LITERAL, OPTIMALITY}),
+    # A wrong endpoint projection: oracle 1.0
+    "(w + M) * (1 + 1e-3)": (
+        {"_eigen": lambda p, eta: (lambda wm, w: (wm * (1.0 + 1e-3), w))(*_eigen(p, eta))},
+        {ORACLE}),
     # The Magnus faults patch the pure twin's constants; every run here uses
     # that twin.  oracle 1.2e-3
     "commutator sign flipped": ({"_R3_6": -pure._R3_6}, {ORACLE}),
