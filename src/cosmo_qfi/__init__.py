@@ -10,9 +10,9 @@ closed forms against direct integration of the mode equation.
 
 `import cosmo_qfi` loads the closed-form core that every CLI command runs
 (`errors`, `cosmology`, `specfun`, `bogoliubov`, `probe`) and the kernel
-backend selection (`_kernel`), nothing else.  `_kernel` stays eager so that
-`kernel_backend` is a plain attribute; it names the backend without loading
-the pure-Python integrator, which loads when the oracle first integrates.
+package (`_kernel`), nothing else.  `_kernel` stays eager because
+`perfbench/` reads it from `sys.modules`; `kernel_backend` is always "pure",
+and the pure-Python integrator itself loads when the oracle first integrates.
 `probe` stays eager so that `cosmo_qfi.probe` is the function (importing the
 submodule later would rebind that attribute to the module).  The exports of
 `sweeps`, `oracle` and `qfi` resolve on first access through the module

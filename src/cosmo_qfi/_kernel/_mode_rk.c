@@ -2,20 +2,16 @@
  *
  * Twin of cosmo_qfi._kernel.pure: the same 4th-order Magnus step, messages
  * and positional-only arguments, and the same floating-point operations in
- * the same order, so the two backends return the same bits.  Both advance
- * one spinor of the Dirac system chi' = i H chi in a given number of equal
- * steps, and integrate_pair_drift gauges it by its conserved Dirac norm; it
- * keeps the name of the stacked pair and Wronskian it once tracked, because
- * perfbench/ traces it by that name.  CPython's argument parser reads the
- * state, so no Python object is held past the parse, and the stepping loop
- * runs with the GIL released: library callers may run integrations
- * concurrently from threads.
+ * the same order, so the two return the same bits.  Both advance one spinor
+ * of the Dirac system chi' = i H chi in a given number of equal steps, and
+ * integrate_pair_drift gauges it by its conserved Dirac norm; it keeps the
+ * name of the stacked pair and Wronskian it once tracked, because perfbench/
+ * traces it by that name.  CPython's argument parser reads the state.
  *
- * Build it next to the package sources (from the repository root):
- *
- *   cc -O3 -shared -fPIC $(python3-config --includes) \
- *       src/cosmo_qfi/_kernel/_mode_rk.c \
- *       -o src/cosmo_qfi/_kernel/_mode_rk$(python3-config --extension-suffix)
+ * The package never loads this module: it is the reference that the parity
+ * tests (the `compiled` fixture of tests/conftest.py) and the benchmark's
+ * kernel pass (perfbench/layers.py) compile into a directory of their own
+ * and hold to the pure twin's bits.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -28,8 +24,7 @@ static const double G1 = 0.21132486540518711775, G2 = 0.78867513459481288225,
 
 /* Advance the spinor y = (re u, im u, re v, im v) in place from eta0 to eta1
  * in n equal Magnus steps; *max_dev is the largest |n - n0| over the steps,
- * with n = |u|^2 + |v|^2 and n0 its initial value.  It touches no Python
- * object, so it runs without the GIL. */
+ * with n = |u|^2 + |v|^2 and n0 its initial value. */
 static void advance(double eps, double m, double k, double eta0, double eta1, long n,
                     double *y, double n0, double *max_dev)
 {
@@ -88,9 +83,7 @@ static PyObject *integrate(PyObject *args, const char *fmt, int with_drift)
         PyErr_SetString(PyExc_ValueError, "initial Dirac norm vanishes");
         return NULL;
     }
-    Py_BEGIN_ALLOW_THREADS
     advance(eps, m, k, eta0, eta1, n, y, n0, &max_dev);
-    Py_END_ALLOW_THREADS
     if (!with_drift)
         return Py_BuildValue("(dddd)l", y[0], y[1], y[2], y[3], n);
     /* The largest step drift to the bit; see pure.integrate_pair_drift. */

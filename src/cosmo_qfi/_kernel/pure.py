@@ -1,8 +1,9 @@
 """Pure-Python fixed-step Magnus propagator for the mode equation.
 
-Twin of the compiled kernel in `_mode_rk.c`: the same step, the same
-positional-only arguments and the same floating-point operations in the same
-order, so either backend serves the oracle and both return the same bits.
+The integrator the oracle runs.  `_mode_rk.c` is its C twin, with the same
+step, the same positional-only arguments and the same floating-point
+operations in the same order; the package never loads it, and the parity
+tests hold the two to the same bits.
 
 The equation integrated is the Dirac system
 

@@ -107,8 +107,10 @@ def _log_mixing_sq(f: FrequencySet) -> float:
         # exact zero (the no-expansion / massless limits).
         return -math.inf
     a = -f.zeta_mm
-    # ln(sinh(pi a)/a) - (pi a - ln 2), which tends to ln 2 pi as a -> 0.
-    log_even = math.log(-math.expm1(-_TWO_PI * a) / a) if a > 0.0 else _LOG_TWO_PI
+    # ln(sinh(pi a)/a) - (pi a - ln 2), which tends to ln 2 pi as a -> 0; a
+    # subnormal a leaves expm1 too few bits, so its limit stands in there.
+    log_even = (math.log(-math.expm1(-_TWO_PI * a) / a) if a >= sys.float_info.min
+                else _LOG_TWO_PI)
     return (
         math.log(f.zeta_pp) - math.log(f.zeta_pm) + math.log(f.zeta_mp)
         - _TWO_PI * f.zeta_pm + log_even

@@ -40,13 +40,10 @@ def build_kernel():
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled kernel: the package's own build if there is one, else the
-    shipped _mode_rk.c compiled into a temporary directory and loaded from
-    there, without registering it as a package module."""
-    try:
-        return importlib.import_module(COMPILED)
-    except ImportError:
-        pass
+    """The compiled kernel: the current _mode_rk.c compiled into a temporary
+    directory and loaded from there, without registering it as a package
+    module.  A build left in the package tree is ignored, since it may
+    predate the source."""
     target = _build_kernel(tmp_path_factory.mktemp("kernel"))
     spec = importlib.util.spec_from_file_location(COMPILED, target)
     module = importlib.util.module_from_spec(spec)

@@ -306,13 +306,13 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     assert "cosmo_qfi.probe" in point
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(point)
     assert "cosmo_qfi.sweeps" in optimized
-    # the pure integrator loads only where the mode equation is integrated:
-    # not for the closed-form commands, nor to read the backend or import
-    # every module, but for `verify` when it is the selected backend
-    assert backend_read[0] in ("pure", "compiled")
+    # the pure integrator, the one backend, loads only where the mode
+    # equation is integrated: not for the closed-form commands, nor to read
+    # the backend or import every module, but for `verify`
+    assert backend_read[0] == "pure"
     for loaded in (point, optimized, swept, forked, backend_read, everything):
         assert "cosmo_qfi._kernel.pure" not in loaded
-    assert ("cosmo_qfi._kernel.pure" in verified) == (backend_read[0] == "pure")
+    assert "cosmo_qfi._kernel.pure" in verified
     # the oracle runs on the calling thread: verify needs no sweep engine or pool
     assert "cosmo_qfi.verify" in verified
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(verified)

@@ -1,5 +1,6 @@
 """Backend parity: compiled kernel against the pure-Python twin, SciPy and
-the closed-form rotation."""
+the closed-form rotation.  The package runs only the pure twin; the tests
+build the C twin from its current source and hold it to the pure twin's bits."""
 
 import inspect
 import math
@@ -7,7 +8,6 @@ import os
 import shutil
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -178,64 +178,30 @@ def test_compiled_kernel_exposes_the_pure_contract(compiled):
 
 
 def test_selected_backend_exposes_contract():
+    assert _kernel.impl is pure
     for name in ("integrate_endpoint", "integrate_pair_drift", "BACKEND"):
         assert hasattr(_kernel.impl, name)
-    assert _kernel.BACKEND in ("pure", "compiled")
+    assert _kernel.BACKEND == cosmo_qfi.kernel_backend == "pure"
 
 
-def test_package_selects_a_built_kernel(build_kernel, tmp_path):
-    # A copy of the package selects the pure twin, then, once _mode_rk is
-    # built into its _kernel/, the compiled one at import; the twins return
-    # the same bits, so verify prints the same bytes on both.
+def test_package_ignores_a_built_kernel(build_kernel, tmp_path):
+    # A _mode_rk built into a copy of the package's _kernel/ is never loaded:
+    # the copy reports the pure twin, `verify` leaves the compiled module out
+    # of sys.modules, and prints the bytes it printed before the build.
     package = tmp_path / "cosmo_qfi"
     shutil.copytree(Path(cosmo_qfi.__file__).parent, package,
                     ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("COSMO_QFI_")}
-    env["PYTHONPATH"] = str(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    script = ("import sys, cosmo_qfi\n"
+              "from cosmo_qfi.cli import main\n"
+              "main(['verify', '--points', '3', '--ode-points', '2'])\n"
+              f"print(cosmo_qfi.kernel_backend, {COMPILED!r} in sys.modules)\n")
 
-    def run(*args):
-        return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env, check=True,
+    def run():
+        return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
                               capture_output=True, text=True, timeout=120).stdout
 
-    selected = ("-c", "import cosmo_qfi, cosmo_qfi._kernel as k; "
-                      "print(cosmo_qfi.kernel_backend, k.__file__)")
-    verify_cmd = ("-m", "cosmo_qfi.cli", "verify", "--points", "3", "--ode-points", "2")
-    kernel_file = package / "_kernel" / "__init__.py"
-    assert run(*selected) == f"pure {kernel_file}\n"
-    on_pure = run(*verify_cmd)
-    build_kernel(package / "_kernel")
-    assert run(*selected) == f"compiled {kernel_file}\n"
-    assert run(*verify_cmd) == on_pure
-    assert on_pure.endswith("all checks passed\n")
-
-
-def test_compiled_kernel_integrates_from_threads_at_once(compiled):
-    # The C twin steps with the GIL released.  Two threads integrate the
-    # parity points at once and get the serial results; one of them first
-    # makes a call with a zero state, which raises in that thread alone.
-    jobs = [(getattr(compiled, name), (eps, m, k, -SPAN, SPAN, _in_spinor(m, k), STEPS))
-            for eps, m, k in PARITY_POINTS[:3]
-            for name in ("integrate_endpoint", "integrate_pair_drift")]
-    serial = [run(*args) for run, args in jobs]
-    start = threading.Barrier(2)
-    results = [None, None]
-
-    def work(i):
-        out = []
-        start.wait(timeout=10)
-        if i:
-            try:
-                compiled.integrate_pair_drift(*jobs[1][1][:5], (0.0,) * 4, STEPS)
-            except ValueError as exc:
-                out.append(exc)
-        results[i] = out + [run(*args) for run, args in jobs]
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    failure, *rest = results[1]
-    assert type(failure) is ValueError and str(failure) == "initial Dirac norm vanishes"
-    assert results[0] == rest == serial
+    before = run()
+    assert build_kernel(package / "_kernel").parent == package / "_kernel"
+    assert run() == before
+    assert before.endswith("all checks passed\npure False\n")

@@ -146,8 +146,8 @@ def test_oracle_row_catches_a_wrong_chi(monkeypatch):
 
 
 def test_twins_give_the_same_oracle_results(monkeypatch, compiled):
-    # The backend is whichever twin was built, so the suite holds both to
-    # the same `verify` oracle run, bit for bit.
+    # The C twin is the reference for the pure one the oracle runs: the
+    # suite holds both to the same `verify` oracle run, bit for bit.
     runs = []
     for impl in (pure, compiled):
         monkeypatch.setattr(_kernel, "impl", impl)

@@ -20,7 +20,8 @@ and 60 digits.  X, dX/deps and the QFI of `qfi_eps` must match it
   (5, 0.5)}, at 60 digits, since the reference's own differences cancel
   about 33 digits at eps = 1e16 (worst 1.35e-14);
 * at (eps, m, k) = (1e50, 1e-200, 1e-200), where the product m k underflows,
-  at 450 digits (worst 8.7e-15).
+  and at (1e-20, 1e-100, 1e-200), where zeta_mm = -5e-321 is subnormal, at
+  450 digits (worst 8.7e-15 and 1.9e-14).
 
 The Gamma route's |B/A|^2, `ratio_sq(coefficients(p))`, must match the
 reference's at the same points up to its zeta_pp limit: all 200 box points
@@ -144,10 +145,16 @@ def test_closed_form_matches_the_reference_at_large_eps(large_eps_errors, name):
     assert large_eps_errors[name] < DOMAIN_BOUND
 
 
-def test_closed_form_matches_the_reference_where_m_k_underflows():
+@pytest.mark.parametrize("point", [
     # The derivative once formed m k first; there it underflowed and dropped
     # the zeta_pm and zeta_mm terms, so the QFI read 1.82e-201, not 2.50e-201.
-    errors = _worst_errors([(1e50, 1e-200, 1e-200)], digits=450)
+    (1e50, 1e-200, 1e-200),
+    # ln(sinh(pi a)/a) at a subnormal a = -zeta_mm once took expm1's few
+    # bits, so X, dX and the QFI were 6.5e-5 off (4.00026e-200, not 4e-200).
+    (1e-20, 1e-100, 1e-200),
+])
+def test_closed_form_matches_the_reference_where_m_k_underflows(point):
+    errors = _worst_errors([point], digits=450)
     assert errors["points"] == 1
     for name in NAMES:
         assert errors[name] < DOMAIN_BOUND, name

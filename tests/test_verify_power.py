@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from cosmo_qfi import _kernel, bogoliubov, cosmology, oracle, verify
+from cosmo_qfi import bogoliubov, cosmology, oracle, verify
 from cosmo_qfi._kernel import pure
 
 GAMMA, FD, ORACLE = "gamma-vs-sinh identity", "analytic-vs-fd derivative", "mode-equation oracle"
@@ -55,8 +55,8 @@ FAULTS = {
     "(w + M) * (1 + 1e-3)": (
         {"_eigen": lambda p, eta: (lambda wm, w: (wm * (1.0 + 1e-3), w))(*_eigen(p, eta))},
         {ORACLE}),
-    # The Magnus faults patch the pure twin's constants; every run here uses
-    # that twin.  oracle 1.2e-3
+    # The Magnus faults patch the pure twin's constants, which the oracle
+    # runs.  oracle 1.2e-3
     "commutator sign flipped": ({"_R3_6": -pure._R3_6}, {ORACLE}),
     # oracle 5.9e-4
     "commutator dropped": ({"_R3_6": 0.0}, {ORACLE}),
@@ -78,14 +78,12 @@ def _failed_rows():
     return {r.name for r in verify.run_all() if not r.passed}
 
 
-def test_unpatched_verify_passes_every_row(monkeypatch):
-    monkeypatch.setattr(_kernel, "impl", pure)
+def test_unpatched_verify_passes_every_row():
     assert _failed_rows() == set()
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_fault_fails_its_rows(monkeypatch, fault):
     replacements, rows = FAULTS[fault]
-    monkeypatch.setattr(_kernel, "impl", pure)
     _patch(monkeypatch, replacements)
     assert rows <= _failed_rows()
