@@ -38,7 +38,7 @@ from .bogoliubov import (
     ratio_sq,
 )
 from .cosmology import FrequencySet, ModelParams, frequencies, scale_factor
-from .errors import CosmoQfiError, DegenerateParameterError
+from .errors import CosmoQfiError
 from .probe import (
     DEFAULT_TRIALS,
     EstimationResult,
@@ -62,7 +62,6 @@ __all__ = [
     "ANALYTIC",
     "CosmoQfiError",
     "DEFAULT_TRIALS",
-    "DegenerateParameterError",
     "EstimationResult",
     "FINITE_DIFFERENCE",
     "FrequencySet",

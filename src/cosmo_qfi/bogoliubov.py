@@ -29,7 +29,7 @@ import sys
 from collections import namedtuple
 
 from .cosmology import FrequencySet, ModelParams, domega_out_deps, frequencies
-from .errors import DegenerateParameterError
+from .errors import CosmoQfiError
 from .specfun import log_gamma
 
 ANALYTIC = "analytic"
@@ -65,10 +65,10 @@ def coefficients(p: ModelParams) -> float:
     arguments degenerate) and zeta_pp <= 5e4.
     """
     if p.m_tilde == 0.0:
-        raise DegenerateParameterError("coefficients undefined at m_tilde = 0")
+        raise CosmoQfiError("coefficients undefined at m_tilde = 0")
     f = frequencies(p)
     if f.zeta_pp > _GAMMA_ZETA_PP_MAX:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"Gamma route cannot resolve |B/A|^2 past zeta_pp = {_GAMMA_ZETA_PP_MAX:g}")
     return 2.0 * (
         log_gamma(1.0 - 1j * f.zeta_pp) + log_gamma(-1j * f.zeta_pm)
@@ -81,7 +81,7 @@ def ratio_sq(log_ratio_sq: float) -> float:
     try:
         return math.exp(log_ratio_sq)
     except OverflowError:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"magnitude exp({log_ratio_sq:.1f}) overflows double precision"
         ) from None
 
@@ -149,7 +149,7 @@ def _dlnX_deps(p: ModelParams) -> float:
     # figures, and so does dividing by it once it is subnormal.
     tails = math.expm1(-_TWO_PI * f.zeta_mp) * math.expm1(-_TWO_PI * f.zeta_pp)
     if tails < sys.float_info.min:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"d ln X/d eps underflows for eps={p.eps}, m_tilde={m}, k_tilde={p.k_tilde}")
     G = (
         (f.omega_in / f.zeta_pp * (f.omega_in / f.zeta_mp) + m / f.zeta_pp + m / f.zeta_mp)
@@ -179,7 +179,7 @@ def dX_deps_analytic(p: ModelParams) -> float:
     """
     X = _weight(p)
     if X == 0.0:
-        raise DegenerateParameterError("dX_deps_analytic requires X > 0")
+        raise CosmoQfiError("dX_deps_analytic requires X > 0")
     return X * _dlnX_deps(p)
 
 
@@ -188,11 +188,11 @@ def dX_deps_fd(p: ModelParams) -> float:
 
     One halving of the fixed step h = 1e-5 * max(eps, 1): returns
     (4 D(h/2) - D(h))/3 with D(s) = (X(eps+s) - X(eps-s))/(2 s).  Raises
-    DegenerateParameterError at eps <= 2h, that is eps <= 2e-5.
+    CosmoQfiError at eps <= 2h, that is eps <= 2e-5.
     """
     h = 1e-5 * max(p.eps, 1.0)
     if p.eps - 2.0 * h <= 0.0:
-        raise DegenerateParameterError(f"fd step {h} too large at eps = {p.eps}")
+        raise CosmoQfiError(f"fd step {h} too large at eps = {p.eps}")
 
     def X_at(e: float) -> float:
         return _weight(ModelParams(e, p.m_tilde, p.k_tilde))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DegenerateParameterError
+from .errors import CosmoQfiError
 
 
 class ModelParams(namedtuple("ModelParams", ("eps", "m_tilde", "k_tilde"))):
@@ -85,7 +85,7 @@ def frequencies(p: ModelParams) -> FrequencySet:
     omega_in = math.hypot(k, m)
     omega_out = math.hypot(k, mu_out)
     if not (math.isfinite(omega_out) and math.isfinite(omega_in)):
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"frequencies overflow for eps={eps}, m_tilde={m}, k_tilde={k}"
         )
     # No differences: omega_out - omega_in = (mu_out^2 - m^2)/(omega_out +

@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from . import _kernel
 from .cosmology import ModelParams, scale_factor
-from .errors import DegenerateParameterError
+from .errors import CosmoQfiError
 
 _ASYMPTOTE_TOL = 1e-10  # max allowed deviation of a(eta) from its limits
 _CHECKPOINT_BACKOFF = 1.0  # matching consistency is checked this far before the end
@@ -75,7 +75,7 @@ def _check_window(p: ModelParams, span: float) -> None:
     # tanh is odd, so a(-span) - 1 is also the deviation of a(span) from
     # 1 + 2 eps; read at the small end, it carries no rounding of 1 + 2 eps.
     if abs(scale_factor(-span, p.eps) - 1.0) > _ASYMPTOTE_TOL:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"a(eta) not asymptotic at window ends (span {span}, eps {p.eps})"
         )
 
@@ -91,16 +91,16 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     """Integrate the mode equation across [-ETA_SPAN, ETA_SPAN] and match the
     asymptotic eigenspinors.  A point out of the oracle's reach, one whose
     grid would exceed the step cap or whose figures are not finite included,
-    raises DegenerateParameterError."""
+    raises CosmoQfiError."""
     if p.m_tilde <= 0.0:
-        raise DegenerateParameterError("integrate_mode requires m_tilde > 0")
+        raise CosmoQfiError("integrate_mode requires m_tilde > 0")
     span = ETA_SPAN
     _check_window(p, span)
     checkpoint = span - _CHECKPOINT_BACKOFF
     k, (wm0, _), (wm, w) = p.k_tilde, _eigen(p, -span), _eigen(p, span)
     rate = max(_STEPS_PER_UNIT, 2.0 * w)
     if 2.0 * span * rate > _MAX_STEPS:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"oracle grid exceeds {_MAX_STEPS} steps (omega_out {w}) at {p}")
 
     y, d1, steps1 = _kernel.impl.integrate_pair_drift(
@@ -113,7 +113,7 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     u, v = complex(y[0], y[1]), complex(y[2], y[3])
     a, b = k * u - wm * v, wm * u + k * v
     if a == 0:
-        raise DegenerateParameterError("matched transmission coefficient vanished")
+        raise CosmoQfiError("matched transmission coefficient vanished")
 
     # Consistency of the match: the eigenspinor components, carried back to
     # the checkpoint, must reproduce the solution there, where they were not
@@ -126,7 +126,7 @@ def integrate_mode(p: ModelParams) -> MatchResult:
     # figure never under-reports the drift from the start.
     drift = d1 + d2 * (1.0 + d1)
     if not (math.isfinite(X) and math.isfinite(drift)):
-        raise DegenerateParameterError(f"oracle X={X}, norm drift={drift} at {p}")
+        raise CosmoQfiError(f"oracle X={X}, norm drift={drift} at {p}")
     return MatchResult(X=X, fit_residual=residual, norm_drift=drift, steps=steps1 + steps2)
 
 

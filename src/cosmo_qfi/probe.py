@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from .bogoliubov import ANALYTIC, ProbeState, excitation_weight
 from .cosmology import ModelParams
-from .errors import DegenerateParameterError
+from .errors import CosmoQfiError
 
 DEFAULT_TRIALS = 10**11  # repetition count used for the published bound curves
 
@@ -60,8 +60,8 @@ def qfi_eps(
         (1+X) (d p0)^2 + ((1+X)/X) (d p1)^2,  d p1 = -d p0 = dX / (1+X)^2.
 
     A non-finite result (at subnormal X, (1+X)/X overflows) raises
-    DegenerateParameterError naming X, and so does a positive QFI too small
-    for 1/(trials * qfi) to be finite.  X = 0 returns zero information by
+    CosmoQfiError naming X, and so does a positive QFI too small for
+    1/(trials * qfi) to be finite.  X = 0 returns zero information by
     convention (the derivative vanishes at least as fast as sqrt(X) there).
     """
     if not (math.isfinite(trials) and trials >= 1):
@@ -74,13 +74,13 @@ def qfi_eps(
         dp = dX / ((1.0 + X) * (1.0 + X))
         qfi = (1.0 + X) * dp * dp + (1.0 + X) / X * dp * dp
         if not math.isfinite(qfi):
-            raise DegenerateParameterError(
+            raise CosmoQfiError(
                 f"QFI is {qfi!r} at X={X!r}: the excitation weight is too "
                 "small for the two-outcome form"
             )
     bnd = 1.0 / (trials * qfi) if qfi > 0.0 else math.inf
     if bnd == math.inf and qfi > 0.0:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"bound 1/(trials*qfi) overflows at qfi={qfi!r}, trials={trials!r}"
         )
     return tuple.__new__(EstimationResult, (qfi, st, bnd))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DegenerateParameterError
+from .errors import CosmoQfiError
 
 # Lanczos coefficients for g = 607/128 (Godfrey's 15-term set).  Relative
 # error of exp(log_gamma) stays below ~1e-14 on Re z >= 0.5 at the magnitudes
@@ -58,13 +58,13 @@ def log_gamma(z: complex) -> complex:
 
     Raises
     ------
-    DegenerateParameterError
+    CosmoQfiError
         If z is the pole at zero or lies in the left half-plane Re z < 0,
         which holds every other pole and which no caller reaches.
     """
     z = complex(z)
     if z.real < 0.0 or z == 0.0:
-        raise DegenerateParameterError(
+        raise CosmoQfiError(
             f"log_gamma supports Re z >= 0 except the pole at 0, got z = {z}")
     if z.real >= 0.5:
         return _lanczos_log_gamma(z)

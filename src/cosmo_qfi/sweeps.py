@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
-from .errors import CosmoQfiError, DegenerateParameterError
+from .errors import CosmoQfiError
 from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy, probe
 
 SWEEP_VARIABLES = ("m_tilde", "k_tilde", "eps")
@@ -290,7 +290,7 @@ def optimize(
     bounds = [objective(v) for v in prescan]
     best_f = min(bounds)
     if math.isinf(best_f):
-        raise DegenerateParameterError("bound is infinite over the whole scan range")
+        raise CosmoQfiError("bound is infinite over the whole scan range")
     i = bounds.index(best_f)
     best_x = prescan[i]
     pinned = math.inf in bounds[max(i - 1, 0):i + 2]

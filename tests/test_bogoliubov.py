@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cosmo_qfi import (
-    DegenerateParameterError,
+    CosmoQfiError,
     ModelParams,
     coefficients,
     dX_deps_analytic,
@@ -94,7 +94,7 @@ def test_mixing_vanishes_with_no_expansion():
 
 
 def test_coefficients_reject_massless():
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(CosmoQfiError):
         coefficients(ModelParams(1.0, 0.0, 1.0))
 
 
@@ -117,7 +117,7 @@ def test_coefficients_takes_four_log_gamma_terms(monkeypatch):
 
 
 def test_ratio_sq_raises_where_the_magnitude_overflows():
-    with pytest.raises(DegenerateParameterError, match="overflows double precision"):
+    with pytest.raises(CosmoQfiError, match="overflows double precision"):
         ratio_sq(710.0)
 
 
@@ -226,7 +226,7 @@ def test_analytic_derivative_large_eps_flattens():
 
 
 def test_analytic_derivative_rejects_degenerate():
-    with pytest.raises(DegenerateParameterError, match="requires X > 0"):
+    with pytest.raises(CosmoQfiError, match="requires X > 0"):
         dX_deps_analytic(ModelParams(1.0, 0.0, 1.0))
 
 
@@ -249,7 +249,7 @@ def test_fd_derivative_zero_for_massless():
 
 def test_fd_step_contracts():
     # the step 1e-5 reaches past eps = 0 for eps <= 2e-5
-    with pytest.raises(DegenerateParameterError, match="fd step 1e-05 too large at eps = 1e-05"):
+    with pytest.raises(CosmoQfiError, match="fd step 1e-05 too large at eps = 1e-05"):
         dX_deps_fd(ModelParams(1e-5, 1.0, 1.0))
 
 
@@ -269,7 +269,7 @@ def test_extreme_expansion_degenerates_cleanly():
     # raises the package error, never a raw arithmetic exception
     assert math.isclose(mixing_sq_sinh(ModelParams(1e18, 1.0, 1.0)) / 1e36,
                         mixing_sq_sinh(ModelParams(1e150, 1.0, 1.0)) / 1e300, rel_tol=1e-12)
-    with pytest.raises(DegenerateParameterError, match="overflows double precision"):
+    with pytest.raises(CosmoQfiError, match="overflows double precision"):
         mixing_sq_sinh(ModelParams(1e300, 1.0, 1.0))
 
 
@@ -290,7 +290,7 @@ def test_qfi_past_the_mixing_overflow_is_zero_or_typed(m, k):
     while eps < 1.7e308:
         try:
             est = qfi_eps(ModelParams(eps, m, k))
-        except DegenerateParameterError as exc:
+        except CosmoQfiError as exc:
             assert "frequencies overflow" in str(exc)
             raised += 1
         else:
@@ -306,7 +306,7 @@ def test_pole_error_reachable_through_gamma_route():
     # Gamma route raises past zeta_pp = 5e4 rather than return a value it
     # cannot resolve; just under the limit it still matches the sinh route.
     for eps in (1e16, 1e17, 1e18, 1e150, 1e300):
-        with pytest.raises(DegenerateParameterError, match="past zeta_pp = 50000"):
+        with pytest.raises(CosmoQfiError, match="past zeta_pp = 50000"):
             coefficients(ModelParams(eps, 1.0, 1.0))
     p = ModelParams(2.49e4, 1.0, 1.0)
     assert 4.9e4 < frequencies(p).zeta_pp < 5e4

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cosmo_qfi import DegenerateParameterError, ModelParams, frequencies, scale_factor
+from cosmo_qfi import CosmoQfiError, ModelParams, frequencies, scale_factor
 from cosmo_qfi.cosmology import domega_out_deps
 
 
@@ -67,7 +67,7 @@ def test_params_validation():
 
 
 def test_frequencies_overflow_is_degenerate():
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(CosmoQfiError):
         frequencies(ModelParams(1e300, 1e10, 1.0))
 
 

@@ -432,8 +432,8 @@ def test_the_callers_error_leaves_no_child_behind(forks, monkeypatch):
 
 def test_sweep_nan_qfi_point_becomes_nan_row():
     # X is subnormal at eps = 24091 (m = 7.2e-5, k = 120): the literal QFI is
-    # NaN, which `qfi_eps` raises as DegenerateParameterError and the sweep
-    # turns into a NaN row
+    # NaN, which `qfi_eps` raises as CosmoQfiError and the sweep turns into a
+    # NaN row
     fixed = ModelParams(1.0, 7.2e-5, 120.0)
     rows = sweep(SweepSpec("eps", 24091.0, 24092.0, 2, fixed))
     assert math.isnan(rows[0].qfi) and math.isinf(rows[0].bound)

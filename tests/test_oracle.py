@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from cosmo_qfi import (
-    DegenerateParameterError,
+    CosmoQfiError,
     ModelParams,
     _kernel,
     bogoliubov,
@@ -157,7 +157,7 @@ def test_twins_give_the_same_oracle_results(monkeypatch, compiled):
 
 
 def test_window_too_small_raises():
-    with pytest.raises(DegenerateParameterError, match="not asymptotic at window ends"):
+    with pytest.raises(CosmoQfiError, match="not asymptotic at window ends"):
         integrate_mode(ModelParams(600.0, 0.5, 1.0))
 
 
@@ -167,14 +167,14 @@ def test_window_check_admits_an_asymptotic_window():
     # would add the rounding at ulp(1069) and refuse the window.
     p = ModelParams(534.0, 1e-3, 0.1)
     assert _rel(integrate_mode(p).X, excitation_weight(p).X) < verify.ODE_TOL
-    with pytest.raises(DegenerateParameterError, match="not asymptotic at window ends"):
+    with pytest.raises(CosmoQfiError, match="not asymptotic at window ends"):
         integrate_mode(ModelParams(535.0, 1e-3, 0.1))
 
 
 def test_requires_massive_field():
-    with pytest.raises(DegenerateParameterError, match="m_tilde > 0"):
+    with pytest.raises(CosmoQfiError, match="m_tilde > 0"):
         integrate_mode(ModelParams(1.0, 0.0, 1.0))
-    with pytest.raises(DegenerateParameterError, match="m_tilde > 0"):
+    with pytest.raises(CosmoQfiError, match="m_tilde > 0"):
         wronskian_drift(ModelParams(1.0, 0.0, 1.0))
 
 
@@ -188,7 +188,7 @@ def _no_kernel(monkeypatch):
 def test_overflowing_mass_raises_integration_error(monkeypatch):
     # omega_out is about 3e160, so the grid would need 1.8e162 steps.
     _no_kernel(monkeypatch)
-    with pytest.raises(DegenerateParameterError, match="^oracle grid exceeds 5000000 steps "):
+    with pytest.raises(CosmoQfiError, match="^oracle grid exceeds 5000000 steps "):
         integrate_mode(ModelParams(1.0, 1e160, 1.0))
 
 
@@ -196,7 +196,7 @@ def test_exhausted_step_budget_raises_integration_error(monkeypatch):
     # The cap is checked against the grid before the first step.
     _no_kernel(monkeypatch)
     monkeypatch.setattr(oracle, "_MAX_STEPS", 2999)
-    with pytest.raises(DegenerateParameterError, match=r"^oracle grid exceeds 2999 steps .* at "):
+    with pytest.raises(CosmoQfiError, match=r"^oracle grid exceeds 2999 steps .* at "):
         integrate_mode(ModelParams(1.0, 1.0, 1.0))
     monkeypatch.setattr(oracle, "_MAX_STEPS", 3000)
     monkeypatch.setattr(_kernel, "impl", pure)
@@ -210,5 +210,5 @@ def test_non_finite_result_raises(monkeypatch, state, drift):
     # a non-finite X or drift.
     monkeypatch.setattr(_kernel, "impl", SimpleNamespace(
         integrate_pair_drift=lambda *args: (state, drift, args[-1])))
-    with pytest.raises(DegenerateParameterError, match=r"^oracle X=.* at ModelParams"):
+    with pytest.raises(CosmoQfiError, match=r"^oracle X=.* at ModelParams"):
         integrate_mode(ModelParams(1.0, 1.0, 1.0))

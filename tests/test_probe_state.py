@@ -10,7 +10,6 @@ import pytest
 from cosmo_qfi import (
     DEFAULT_TRIALS,
     CosmoQfiError,
-    DegenerateParameterError,
     ModelParams,
     ProbeState,
     classical_fisher,
@@ -102,9 +101,8 @@ def test_qfi_collapses_at_large_eps():
 def test_qfi_identity_mismatch_raises_typed_error():
     # X = 2.5e-311 is subnormal: the literal form overflows to inf, although
     # the simplified form would be 3.5e-307
-    with pytest.raises(DegenerateParameterError, match=r"QFI is inf at X=2\.48\d*e-311") as info:
+    with pytest.raises(CosmoQfiError, match=r"QFI is inf at X=2\.48\d*e-311") as info:
         qfi_eps(ModelParams(0.1, 82.0, 82.0))
-    assert isinstance(info.value, CosmoQfiError)
     assert isinstance(info.value, ValueError)
 
 
@@ -135,7 +133,7 @@ def test_qfi_evaluates_where_dX_squared_underflows(point):
 
 def test_qfi_nan_literal_form_raises_typed_error():
     # X = 1.5e-323 is subnormal: (1+X)/X overflows and meets a zero derivative
-    with pytest.raises(DegenerateParameterError, match="QFI is nan at X=1.5e-323"):
+    with pytest.raises(CosmoQfiError, match="QFI is nan at X=1.5e-323"):
         qfi_eps(ModelParams(24091.0, 7.2e-5, 120.0))
 
 
@@ -145,7 +143,7 @@ def test_qfi_overflowed_literal_form_raises_typed_error(monkeypatch):
     probe_module = importlib.import_module("cosmo_qfi.probe")
     state = ProbeState(p0=1.0, p1=1e-310, X=1e-310, dX=1e-155)
     monkeypatch.setattr(probe_module, "probe", lambda *args: state)
-    with pytest.raises(DegenerateParameterError, match="QFI is inf at X=1e-310"):
+    with pytest.raises(CosmoQfiError, match="QFI is inf at X=1e-310"):
         qfi_eps(ModelParams(1.0, 1.0, 1.0))
 
 
@@ -163,7 +161,7 @@ def test_positive_qfi_with_an_overflowing_bound_raises_typed_error():
     # infinite bound would claim the state carries no information
     p = ModelParams(292.9116735123882, 108.61768105386915, 0.075634133134634)
     assert 0.0 < qfi_eps(p, trials=1e11).qfi < 1e-308
-    with pytest.raises(DegenerateParameterError, match=r"qfi=.*trials=1\.0"):
+    with pytest.raises(CosmoQfiError, match=r"qfi=.*trials=1\.0"):
         qfi_eps(p, trials=1.0)
 
 
