@@ -119,10 +119,7 @@ def render(name: str, directory: Path) -> str:
 
 
 def _close(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        a, b = float(a), float(b)
-        return a == b or math.isclose(a, b, rel_tol=REL_TOL) or (a != a and b != b)
-    return a == b
+    return math.isclose(a, b, rel_tol=REL_TOL) if isinstance(b, float) else a == b
 
 
 def _assert_json_lines_close(got: str, want: str) -> None:
