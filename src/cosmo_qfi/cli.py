@@ -31,6 +31,7 @@ from .probe import DEFAULT_TRIALS, qfi_eps, state_entropy
 
 _DERIV_FLAGS = {"analytic": ANALYTIC, "fd": FINITE_DIFFERENCE}
 _VAR_FLAGS = {"m": "m_tilde", "k": "k_tilde", "eps": "eps"}
+_CSV_ROW = "%r,%r,%r,%r,%r\n"  # value,qfi,bound,entropy,p1, shortest round-trip
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -40,12 +41,9 @@ EXIT_IO = 4
 
 
 def _json_number(x: float):
-    # JSON has no Infinity/NaN literals; the wire contract uses strings.
-    if math.isinf(x):
-        return "inf"
-    if math.isnan(x):
-        return "nan"
-    return x
+    # JSON has no Infinity/NaN literals; the wire contract uses the strings
+    # "inf", "-inf" and "nan", which float() reads back.
+    return x if math.isfinite(x) else repr(x)
 
 
 def _add_channel_flags(sp: argparse.ArgumentParser) -> None:
@@ -139,7 +137,7 @@ def _cmd_point(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweeps import SweepSpec, _thread_count, sweep
+    from .sweeps import SweepSpec, _sweep_slices, _thread_count
 
     variable = _VAR_FLAGS[args.var]
     spec = SweepSpec(
@@ -158,9 +156,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "lo": args.lo,
             "hi": args.hi,
             "points": args.points,
-            "eps": args.eps,
-            "m": args.m,
-            "k": args.k,
+            # the swept coordinate's own flag is ignored, and may be non-finite
+            "eps": _json_number(args.eps),
+            "m": _json_number(args.m),
+            "k": _json_number(args.k),
             "trials": args.trials,
             "deriv_method": args.deriv_method,
         },
@@ -168,13 +167,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tool_version": __version__,
         "output_path": args.out,
     }
+    head = f"# manifest: {json.dumps(manifest)}\nvalue,qfi,bound,entropy,p1\n"
     # Open the output before computing, so an unwritable path fails at once.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        rows = sweep(spec, deriv_method=_DERIV_FLAGS[args.deriv_method])
-        fh.write(f"# manifest: {json.dumps(manifest)}\n")
-        fh.write("value,qfi,bound,entropy,p1\n")
-        for r in rows:
-            fh.write(f"{r.value!r},{r.qfi!r},{r.bound!r},{r.entropy!r},{r.p1!r}\n")
+        # Each slice's rows arrive as CSV lines, formatted where computed.
+        parts = _sweep_slices(spec, _DERIV_FLAGS[args.deriv_method], _CSV_ROW.__mod__)
+        fh.write(head)
+        for lines in parts:
+            fh.writelines(lines)
     print(args.out)
     return EXIT_OK
 

@@ -73,13 +73,23 @@ def scale_factor(eta: float, eps: float) -> float:
     return 1.0 + eps * (1.0 + math.tanh(eta))
 
 
+_last = (None, None)  # (p, frequencies(p)) last computed, rebound in one step
+
+
 def frequencies(p: ModelParams) -> FrequencySet:
     """All derived frequencies for the given channel parameters.
 
     chi_abs is the magnitude of the spinor-structure factor
     (omega_out - mu_out)/k_tilde, evaluated in the cancellation-free form
     k_tilde/(omega_out + mu_out); it is 1 at m_tilde = 0.
+
+    The last result is returned again for the same `ModelParams` object
+    (`is`), which a sweep row passes six times; ROADMAP.md item 3 deletes this.
     """
+    global _last
+    last_p, last_f = _last
+    if p is last_p:
+        return last_f
     m, k, eps = p.m_tilde, p.k_tilde, p.eps
     mu_out = m * (1.0 + 2.0 * eps)
     omega_in = math.hypot(k, m)
@@ -98,10 +108,12 @@ def frequencies(p: ModelParams) -> FrequencySet:
     zeta_pm = m + 0.5 * (k * chi + k * k_in)
     # Positional, through tuple.__new__: the generated constructor spends
     # longer binding its arguments than building the tuple.
-    return tuple.__new__(FrequencySet, (
+    f = tuple.__new__(FrequencySet, (
         omega_in, omega_out, zeta_pm + 2.0 * me, zeta_pm, zeta_mp,
         -chi * k_in * zeta_mp, mu_out, chi,
     ))
+    _last = (p, f)
+    return f
 
 
 def domega_out_deps(p: ModelParams) -> float:

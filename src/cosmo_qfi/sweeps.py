@@ -11,12 +11,12 @@ result can never be worse than the pre-scan and unimodality is not assumed.
 Sweep grid points are independent.  By default `sweep` runs on the calling
 thread, and a sweep large enough to give every CPU this process may run on
 at least `_MIN_ROWS_PER_WORKER` rows is split into contiguous slices, one
-per CPU: forked worker processes compute all but the first and send their
-rows back through pipes, and the caller computes every slice it does not
-receive whole.  Its pure-Python loop holds the GIL, so processes,
-not threads, are what run it in parallel.  A COSMO_QFI_THREADS value above 1
-runs the sweep on that many threads instead (a negative or non-integer
-value is a usage error).  Row order and values depend on neither.
+per CPU: forked workers compute all but the first and send their rows back
+through pipes, in the form the caller keeps (the CLI's are CSV lines), and
+the caller computes every slice it does not receive whole.  The loop holds
+the GIL, so processes, not threads, run it in parallel.  A COSMO_QFI_THREADS
+value above 1 runs the sweep on that many threads instead (a negative or
+non-integer value is a usage error).  Row order and values depend on neither.
 """
 
 from __future__ import annotations
@@ -157,15 +157,14 @@ def _reap(pid: int, kill: bool = False) -> None:
         pass
 
 
-def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
-    """[fn(v) for v in values], spread over `processes` contiguous slices.
+def _forked_rows(fn, values: list[float], processes: int) -> list:
+    """fn(part) for each of `processes` contiguous slices of `values`, in order.
 
-    A forked child computes each slice but the first and sends its rows back
-    through a pipe as plain tuples with marshal.  The slices are then taken
-    in grid order: a slice's rows are its child's whole payload of one row
-    per value (marshal refuses a truncated one), or else are computed here,
-    so the first slice, a slice whose pipe or fork failed and a slice whose
-    child sent too little all raise their errors as on the serial path.
+    `fn` maps a slice to one marshal-able payload.  A forked child computes
+    each slice's payload but the first's and pipes it back; the caller takes
+    it if it arrived whole (marshal refuses a truncated one), else computes
+    it, so the first slice, a slice whose pipe or fork failed and a slice
+    whose child sent too little raise their errors as on the serial path.
     Every child is reaped before this returns or raises.
     """
     cuts = [len(values) * i // processes for i in range(processes + 1)]
@@ -184,14 +183,13 @@ def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
             if pid == 0:
                 try:  # the caller judges the payload, not the exit status
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps([tuple(fn(v)) for v in slices[i]]))
+                        pipe.write(marshal.dumps(fn(slices[i])))
                 finally:
                     os._exit(0)
             os.close(w)
             children[i] = (pid, r)
-        rows = []
+        payloads = []
         for i, part in enumerate(slices):
-            got = ()
             if i in children:
                 pid, r = children[i]
                 with open(r, "rb", closefd=False) as pipe:
@@ -200,14 +198,12 @@ def _forked_rows(fn, values: list[float], processes: int) -> list[SweepRow]:
                 os.close(r)
                 _reap(pid)
                 try:
-                    got = marshal.loads(data)
+                    payloads.append(marshal.loads(data))
+                    continue
                 except (EOFError, ValueError):  # nothing written, or cut short
                     pass
-            if len(got) == len(part):
-                rows += [tuple.__new__(SweepRow, t) for t in got]
-            else:
-                rows += [fn(v) for v in part]
-        return rows
+            payloads.append(fn(part))
+        return payloads
     finally:
         for pid, r in children.values():
             os.close(r)
@@ -220,6 +216,27 @@ def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
     return est.qfi, est.bound, state_entropy(st), st.p1
 
 
+def _sweep_slices(spec: SweepSpec, deriv_method: str, fmt) -> list[list]:
+    """`sweep`'s rows in grid order, one list per slice, each row given as
+    `fmt((value, qfi, bound, entropy, p1))` by the process that computed it."""
+    values = _grid(spec.lo, spec.hi, spec.points, "linear")
+
+    def one(value: float):
+        try:
+            q, b, s, p1 = _eval_row(
+                _params_at(spec.fixed, spec.variable, value), spec.trials, deriv_method
+            )
+        except CosmoQfiError:
+            return fmt((value, math.nan, math.inf, math.nan, math.nan))
+        return fmt((value, q, b, s, p1))
+
+    threads = _thread_count()
+    if threads > 1 and spec.points >= 32:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return [list(pool.map(one, values))]
+    return _forked_rows(lambda part: [one(v) for v in part], values, _process_count(spec.points))
+
+
 def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
     """Evaluate the estimation curve over the grid, in ascending order.
 
@@ -227,22 +244,8 @@ def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:
     example m_tilde = 0) gets qfi 0 and an infinite bound, and a point whose
     evaluation fails outright gets NaN figures with an infinite bound.
     """
-    values = _grid(spec.lo, spec.hi, spec.points, "linear")
-
-    def one(value: float) -> SweepRow:
-        try:
-            q, b, s, p1 = _eval_row(
-                _params_at(spec.fixed, spec.variable, value), spec.trials, deriv_method
-            )
-        except CosmoQfiError:
-            return tuple.__new__(SweepRow, (value, math.nan, math.inf, math.nan, math.nan))
-        return tuple.__new__(SweepRow, (value, q, b, s, p1))
-
-    threads = _thread_count()
-    if threads > 1 and spec.points >= 32:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, values))
-    return _forked_rows(one, values, _process_count(spec.points))
+    return [tuple.__new__(SweepRow, t)
+            for part in _sweep_slices(spec, deriv_method, tuple) for t in part]
 
 
 class OptimumResult(namedtuple(

@@ -334,7 +334,7 @@ def test_unwritable_output_fails_before_sweeping(capsys, tmp_path, monkeypatch):
     def sweep(*args, **kwargs):
         raise AssertionError("swept before opening the output")
 
-    monkeypatch.setattr("cosmo_qfi.sweeps.sweep", sweep)
+    monkeypatch.setattr("cosmo_qfi.sweeps._sweep_slices", sweep)
     out = tmp_path / "no_such_dir" / "curve.csv"
     code, _, err = run(capsys, "sweep", "--var", "m", "--points", "100000", "--out", str(out))
     assert code == 4
@@ -384,6 +384,28 @@ def test_sweep_manifest_line_is_frozen(capsys, tmp_path, monkeypatch):
         '"deriv_method": "fd"}, "tolerances": {}, "tool_version": "0.1.0", '
         '"output_path": "k.csv"}'
     )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("flags, key, text", [
+    (["--var", "m", "--m", "nan"], "m", "nan"),
+    (["--var", "k", "--k", "inf"], "k", "inf"),
+    (["--var", "eps", "--eps=-inf"], "eps", "-inf"),
+])
+def test_sweep_manifest_is_strict_json_for_a_non_finite_swept_flag(capsys, tmp_path, flags,
+                                                                    key, text):
+    # the swept coordinate's own flag is ignored, so it may be anything
+    out = tmp_path / "t.csv"
+    code, _, err = run(capsys, "sweep", *flags, "--lo", "1", "--hi", "2", "--points", "3",
+                       "--out", str(out))
+    assert code == 0, err
+    first = out.read_text(encoding="utf-8").splitlines()[0]
+    manifest = json.loads(first[len("# manifest: "):], parse_constant=_refuse_constant)
+    assert manifest["params"][key] == text
+    assert repr(float(text)) == text
 
 
 def test_sweep_byte_identical_reruns(capsys, tmp_path):

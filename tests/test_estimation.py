@@ -22,6 +22,7 @@ from cosmo_qfi import (
     verify,
 )
 from cosmo_qfi._kernel import pure
+from cosmo_qfi.cli import main
 
 FIXED = ModelParams(1.0, 1.0, 1.0)
 
@@ -401,6 +402,51 @@ def test_sweep_stays_serial_beside_another_thread(forks):
         other.join(timeout=10)
     assert not other.is_alive()
     assert len(rows) == 64 and forks == []
+
+
+# 5000 rows, of which the 1 701 from eps ~ 19690 up are NaN rows
+CSV_SWEEP = ["sweep", "--var", "eps", "--lo", "0.01", "--hi", "30000", "--points", "5000",
+             "--m", "7.2e-5", "--k", "120"]
+SHORT_CSV_SWEEP = ["sweep", "--var", "m", "--lo", "0.1", "--hi", "8", "--points", "64"]
+
+
+def _csv_rows(tmp_path, argv) -> bytes:
+    """The CLI's CSV for `argv`, less its manifest line (which records --out)."""
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes().split(b"\n", 1)[1]
+
+
+def test_cli_csv_is_the_same_forked_on_one_cpu_and_threaded(forks, monkeypatch, tmp_path):
+    forked = _csv_rows(tmp_path, CSV_SWEEP)
+    assert len(forks) == 2 and _no_children_left()
+    assert forked.count(b",nan,inf,nan,nan\n") == 1701
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _csv_rows(tmp_path, CSV_SWEEP) == forked
+    monkeypatch.setenv("COSMO_QFI_THREADS", "2")
+    assert _csv_rows(tmp_path, CSV_SWEEP) == forked
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("fault", ["worker", "fork", "pipe"])
+def test_cli_sweep_computes_a_lost_slice_itself(forks, monkeypatch, tmp_path, fault):
+    # each fault loses the slices of the children: their rows fail in the
+    # children only, the second fork fails, or the second pipe fails
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 10**9)
+    serial = _csv_rows(tmp_path, SHORT_CSV_SWEEP)
+    monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 4)
+    caller, real = os.getpid(), {"fork": os.fork, "pipe": os.pipe}
+    if fault == "worker":
+        _failing_at(monkeypatch, lambda m: os.getpid() != caller)
+    else:
+        def once(*args):
+            if len(forks) == 1:
+                raise OSError(24, f"no {fault} to spare")
+            return real[fault](*args)
+
+        monkeypatch.setattr(os, fault, once)
+    assert _csv_rows(tmp_path, SHORT_CSV_SWEEP) == serial
+    assert len(forks) == (2 if fault == "worker" else 1) and _no_children_left()
 
 
 def _failing_at(monkeypatch, failing):
