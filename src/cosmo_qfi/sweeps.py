@@ -89,19 +89,16 @@ class SweepRow(namedtuple("SweepRow", ("value", "qfi", "bound", "entropy", "p1")
     __slots__ = ()
 
 
-def _grid(lo: float, hi: float, points: int, spacing: str) -> list[float]:
-    if spacing == "log":
-        llo, lhi = math.log(lo), math.log(hi)
-        vals = [math.exp(llo + i * (lhi - llo) / (points - 1)) for i in range(points)]
-    else:
-        # i * (hi - lo) overflows on wide finite ranges; only there is i / n
-        # taken first, so every other point is lo + i * (hi - lo) / n to the bit.
-        span, n = hi - lo, points - 1
-        vals = []
-        for i in range(points):
-            t = i * span
-            vals.append(lo + (t / n if t != math.inf else i / n * span))
-    vals[0], vals[-1] = lo, hi  # endpoints exact
+def _grid(lo: float, hi: float, points: int) -> list[float]:
+    """`points` evenly spaced values from exactly `lo` to exactly `hi`: where
+    i * (hi - lo) overflows, i / n is taken first, and every other point is
+    lo + i * (hi - lo) / n to the bit."""
+    span, n = hi - lo, points - 1
+    vals = []
+    for i in range(points):
+        t = i * span
+        vals.append(lo + (t / n if t != math.inf else i / n * span))
+    vals[0], vals[-1] = lo, hi
     return vals
 
 
@@ -219,7 +216,7 @@ def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
 def _sweep_slices(spec: SweepSpec, deriv_method: str, fmt) -> list[list]:
     """`sweep`'s rows in grid order, one list per slice, each row given as
     `fmt((value, qfi, bound, entropy, p1))` by the process that computed it."""
-    values = _grid(spec.lo, spec.hi, spec.points, "linear")
+    values = _grid(spec.lo, spec.hi, spec.points)
 
     def one(value: float):
         try:
@@ -231,7 +228,7 @@ def _sweep_slices(spec: SweepSpec, deriv_method: str, fmt) -> list[list]:
         return fmt((value, q, b, s, p1))
 
     threads = _thread_count()
-    if threads > 1 and spec.points >= 32:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return [list(pool.map(one, values))]
     return _forked_rows(lambda part: [one(v) for v in part], values, _process_count(spec.points))
@@ -265,16 +262,17 @@ def optimize(
 ) -> OptimumResult:
     """Coordinate in [lo, hi] minimizing the error bound.
 
-    A dense log-spaced pre-scan guards against local traps and reaches every
-    decade of a wide range.  The two cells around the best point seen are
-    then re-scanned on a finer linear grid, shrinking the spacing tenfold
-    each time, until it is at most 1e-6 absolute in the coordinate (or the
-    cells collapse below the spacing of doubles).  The best point seen over
-    all scans is returned.  boundary_warning is set when the optimum lies in
-    the first or last pre-scan cell, or when a pre-scan neighbour of the best
-    pre-scan point has an infinite bound (it raised or carries no
-    information), so the optimum may be pinned against a region the
-    objective cannot evaluate.
+    A dense log-spaced pre-scan, `exp` of the evenly spaced grid over
+    [ln lo, ln hi] with its ends set to exactly lo and hi, guards against
+    local traps and reaches every decade of a wide range.  The two cells
+    around the best point seen are then re-scanned on a finer linear grid,
+    shrinking the spacing tenfold each time, until it is at most 1e-6
+    absolute in the coordinate (or the cells collapse below the spacing of
+    doubles).  The best point seen over all scans is returned.
+    boundary_warning is set when the optimum lies in the first or last
+    pre-scan cell, or when a pre-scan neighbour of the best pre-scan point
+    has an infinite bound (it raised or carries no information), so the
+    optimum may be pinned against a region the objective cannot evaluate.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
@@ -289,7 +287,8 @@ def optimize(
             return math.inf
         return est.bound
 
-    prescan = _grid(lo, hi, _PRESCAN_POINTS, "log")
+    prescan = [math.exp(v) for v in _grid(math.log(lo), math.log(hi), _PRESCAN_POINTS)]
+    prescan[0], prescan[-1] = lo, hi
     bounds = [objective(v) for v in prescan]
     best_f = min(bounds)
     if math.isinf(best_f):
@@ -308,7 +307,7 @@ def optimize(
 
     while True:
         step = (b - a) / (_ZOOM_POINTS - 1)
-        scan(_grid(a, b, _ZOOM_POINTS, "linear"))
+        scan(_grid(a, b, _ZOOM_POINTS))
         if step <= _REFINE_XATOL:
             break
         a, b = max(best_x - step, lo), min(best_x + step, hi)

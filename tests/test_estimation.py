@@ -67,9 +67,17 @@ def test_sweep_massless_sentinel_row():
     assert rows[1].qfi > 0.0 and rows[2].qfi > 0.0
 
 
-def test_sweep_log_spacing():
-    # optimize pre-scans on this grid
-    vals = sweeps._grid(0.1, 10.0, 5, "log")
+def test_sweep_log_spacing(monkeypatch):
+    # optimize's pre-scan: its first 1 000 coordinates form a geometric grid
+    seen, real = [], sweeps.qfi_eps
+
+    def recording(p, *args, **kwargs):
+        seen.append(p.k_tilde)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps, "qfi_eps", recording)
+    optimize("k_tilde", 0.1, 10.0, FIXED)
+    vals = seen[:1000]
     assert vals[0] == 0.1 and vals[-1] == 10.0
     ratios = [b / a for a, b in zip(vals, vals[1:])]
     assert all(math.isclose(r, ratios[0], rel_tol=1e-12) for r in ratios)
@@ -262,6 +270,16 @@ def test_sweep_explicit_threads_use_a_pool(monkeypatch, counting_pool):
     monkeypatch.setattr(sweeps, "ThreadPoolExecutor", counting_pool)
     rows = sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
     assert len(rows) == 64
+    assert counting_pool.constructed == 1
+
+
+def test_sweep_explicit_threads_use_a_pool_for_three_rows(monkeypatch, counting_pool):
+    spec = SweepSpec("m_tilde", 0.1, 8.0, 3, FIXED)
+    monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
+    serial = sweep(spec)
+    monkeypatch.setenv("COSMO_QFI_THREADS", "2")
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", counting_pool)
+    assert sweep(spec) == serial
     assert counting_pool.constructed == 1
 
 
