@@ -10,10 +10,11 @@ deterministic for identical flags: every float is printed in shortest
 round-trip form and manifests carry no timestamps.
 
 Only the closed-form core that `point` runs is imported with this module.
-`sweep` and `optimize` import the sweep engine (and with it the thread pool)
-when they run, and `verify` imports the verification suites (and with them
-the mode-equation oracle and the eigenprojector Fisher information) when it
-runs, so no command pays at start-up for layers it does not use.
+`sweep` and `optimize` import the sweep engine (and with it the thread pool
+and the forked fan-out) when they run, and `verify` imports the verification
+suites (and with them the mode-equation oracle, the eigenprojector Fisher
+information and the same fan-out, but not the sweep engine or the pool) when
+it runs, so no command pays at start-up for layers it does not use.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Environment: COSMO_QFI_THREADS above 1 runs sweep on that many "
             "threads; otherwise a large sweep is spread over the CPUs in "
-            "forked processes. Neither changes output."
+            "forked processes, and verify --points 6 or more integrates its "
+            "oracle points in a forked process. None of this changes output."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,22 +13,21 @@ thread, and a sweep large enough to give every CPU this process may run on
 at least `_MIN_ROWS_PER_WORKER` rows is split into contiguous slices, one
 per CPU: forked workers compute all but the first and send their rows back
 through pipes, in the form the caller keeps (the CLI's are CSV lines), and
-the caller computes every slice it does not receive whole.  The loop holds
-the GIL, so processes, not threads, run it in parallel.  A COSMO_QFI_THREADS
+the caller computes every slice it does not receive whole.  That fan-out
+lives in `_fanout`, which `verify` shares.  A COSMO_QFI_THREADS
 value above 1 runs the sweep on that many threads instead (a negative or
 non-integer value is a usage error).  Row order and values depend on neither.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
 import operator
 import os
-import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
+from . import _fanout
 from .bogoliubov import ANALYTIC
 from .cosmology import ModelParams
 from .errors import CosmoQfiError
@@ -45,7 +44,6 @@ _REFINE_XATOL = 1e-6
 # computed: a worker pays for itself from about 100 rows where a CPU is
 # idle, and at 2048 rows costs about 5 % of the serial time where none is.
 _MIN_ROWS_PER_WORKER = 2048
-_SIGKILL = 9  # signal.SIGKILL wherever os.fork exists; `signal` is not loaded
 
 
 class SweepSpec(namedtuple("SweepSpec", ("variable", "lo", "hi", "points", "fixed", "trials"))):
@@ -129,82 +127,10 @@ def _thread_count() -> int:
 
 
 def _process_count(points: int) -> int:
-    """Processes to spread a sweep of `points` rows over: one per CPU this
-    process may run on, but no more than give each at least
-    _MIN_ROWS_PER_WORKER rows; 1 where fork is missing or another thread
-    runs, since a forked child holds only the forking thread.
-    """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, points // _MIN_ROWS_PER_WORKER))
-
-
-def _reap(pid: int, kill: bool = False) -> None:
-    """Wait for the child `pid`, killed first if `kill`.  Where SIGCHLD is
-    ignored the system reaps it, and the wait finds nothing to collect."""
-    try:
-        if kill:
-            os.kill(pid, _SIGKILL)
-        os.waitpid(pid, 0)
-    except (ChildProcessError, ProcessLookupError):
-        pass
-
-
-def _forked_rows(fn, values: list[float], processes: int) -> list:
-    """fn(part) for each of `processes` contiguous slices of `values`, in order.
-
-    `fn` maps a slice to one marshal-able payload.  A forked child computes
-    each slice's payload but the first's and pipes it back; the caller takes
-    it if it arrived whole (marshal refuses a truncated one), else computes
-    it, so the first slice, a slice whose pipe or fork failed and a slice
-    whose child sent too little raise their errors as on the serial path.
-    Every child is reaped before this returns or raises.
-    """
-    cuts = [len(values) * i // processes for i in range(processes + 1)]
-    slices = [values[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = {}  # slice index -> (pid, read end), not yet reaped
-    try:
-        for i in range(1, processes):
-            fds = ()
-            try:
-                r, w = fds = os.pipe()
-                pid = os.fork()
-            except OSError:  # no descriptor or process to spare
-                for fd in fds:
-                    os.close(fd)
-                break
-            if pid == 0:
-                try:  # the caller judges the payload, not the exit status
-                    with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps(fn(slices[i])))
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children[i] = (pid, r)
-        payloads = []
-        for i, part in enumerate(slices):
-            if i in children:
-                pid, r = children[i]
-                with open(r, "rb", closefd=False) as pipe:
-                    data = pipe.read()
-                del children[i]
-                os.close(r)
-                _reap(pid)
-                try:
-                    payloads.append(marshal.loads(data))
-                    continue
-                except (EOFError, ValueError):  # nothing written, or cut short
-                    pass
-            payloads.append(fn(part))
-        return payloads
-    finally:
-        for pid, r in children.values():
-            os.close(r)
-            _reap(pid, kill=True)
+    """Processes to spread a sweep of `points` rows over: one per CPU the
+    fan-out may use, but no more than give each at least
+    _MIN_ROWS_PER_WORKER rows."""
+    return max(1, min(_fanout.cpus(), points // _MIN_ROWS_PER_WORKER))
 
 
 def _eval_row(p: ModelParams, trials: float, deriv_method: str) -> tuple:
@@ -231,7 +157,8 @@ def _sweep_slices(spec: SweepSpec, deriv_method: str, fmt) -> list[list]:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return [list(pool.map(one, values))]
-    return _forked_rows(lambda part: [one(v) for v in part], values, _process_count(spec.points))
+    return _fanout.forked_rows(lambda part: [one(v) for v in part], values,
+                               _process_count(spec.points))
 
 
 def sweep(spec: SweepSpec, deriv_method: str = ANALYTIC) -> list[SweepRow]:

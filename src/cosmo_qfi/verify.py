@@ -16,9 +16,10 @@ Each check compares two independent computations of the same quantity:
   `perfbench/` traces it by that name.
 
 The closed-form checks share one evaluation of each grid point and the oracle
-checks one integration of each oracle point.  The tolerances are fixed; the
-CLI `verify` command prints one row per check and fails if any check exceeds
-its tolerance.
+checks one integration of each oracle point, which a forked worker runs while
+the caller runs the closed-form checks wherever that pays (see `run_all`).
+The tolerances are fixed; the CLI `verify` command prints one row per check
+and fails if any check exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
+from . import _fanout
 from .bogoliubov import (
     coefficients, dX_deps_fd, excitation_weight, mixing_sq_sinh, ratio_sq,
 )
@@ -40,6 +42,14 @@ IDENTITY_TOL = 1e-10
 DERIVATIVE_TOL = 1e-6
 ODE_TOL = 1e-4
 DRIFT_TOL = 1e-8
+
+# Fewest grid points per axis at which `run_all` integrates the oracle in a
+# forked worker.  On a 2-CPU x86-64 box, in process, a fork cost the caller
+# 1.3-1.7 ms, less than any oracle point (3 000 Magnus steps or more, about
+# 2.6 ms), and the closed-form rows took about 36 us per grid point: the fork
+# won 31/31 alternating runs at 6 points per axis with 1 oracle point and
+# 26/31 with 5, but 4/31 at 5 points per axis with 5.
+_MIN_FORK_GRID = 6
 
 # Curated oracle points spanning eps in [0.01, 5], m_tilde and k_tilde in
 # [0.1, 5]; extra points beyond these are drawn from a fixed-seed generator.
@@ -70,20 +80,18 @@ def _rel_diff(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-def _grid_params(points: int) -> list[ModelParams]:
+def _grid_axis(points: int) -> list[float]:
     if points < 2:
         raise ValueError(f"need at least 2 grid points per axis, got {points}")
     lo, hi = GRID_RANGE
-    axis = [lo + i * (hi - lo) / (points - 1) for i in range(points)]
-    return [
-        ModelParams(eps=e, m_tilde=m, k_tilde=k)
-        for e in axis for m in axis for k in axis
-    ]
+    return [lo + i * (hi - lo) / (points - 1) for i in range(points)]
 
 
 def grid_estimates(grid_points: int = 10) -> list[tuple[ModelParams, EstimationResult]]:
     """Each point of the identity grid with its closed-form evaluation, run once."""
-    return [(p, qfi_eps(p)) for p in _grid_params(grid_points)]
+    axis = _grid_axis(grid_points)
+    params = [ModelParams(eps=e, m_tilde=m, k_tilde=k) for e in axis for m in axis for k in axis]
+    return [(p, qfi_eps(p)) for p in params]
 
 
 def check_gamma_vs_sinh(grid: list[tuple[ModelParams, EstimationResult]]) -> CheckResult:
@@ -155,14 +163,29 @@ def check_wronskian(matches: list[tuple[ModelParams, MatchResult]]) -> CheckResu
 
 
 def run_all(grid_points: int = 10, ode_points: int = 5) -> list[CheckResult]:
-    """Every check at the given grid resolution and oracle point count."""
-    grid = grid_estimates(grid_points)
-    matches = oracle_matches(ode_points)
-    return [
-        check_gamma_vs_sinh(grid),
-        check_qfi_identity(grid),
-        check_measurement_optimality(grid),
-        check_derivative(grid),
-        check_ode_oracle(matches),
-        check_wronskian(matches),
-    ]
+    """Every check at the given grid resolution and oracle point count.
+
+    Both counts are checked before any evaluation starts.  Where the grid
+    has at least _MIN_FORK_GRID points per axis and the fan-out a second
+    CPU, one forked worker integrates the oracle points while this process
+    evaluates the grid and its four rows; otherwise, or where the worker's
+    payload is lost, this process integrates them afterwards.  Either way
+    the integrations arrive as plain tuples, which marshal keeps to the bit.
+    """
+    _grid_axis(grid_points)
+    points = oracle_points(ode_points)
+
+    def closed_form():
+        grid = grid_estimates(grid_points)
+        return [check_gamma_vs_sinh(grid), check_qfi_identity(grid),
+                check_measurement_optimality(grid), check_derivative(grid)]
+
+    def integrations():
+        return [tuple(m) for _, m in oracle_matches(ode_points)]
+
+    fork = grid_points >= _MIN_FORK_GRID and _fanout.cpus() > 1
+    parts = _fanout.forked_rows(lambda tasks: [task() for task in tasks],
+                                [closed_form, integrations], 2 if fork else 1)
+    rows, payload = [result for part in parts for result in part]
+    matches = [(p, MatchResult(*m)) for p, m in zip(points, payload)]
+    return rows + [check_ode_oracle(matches), check_wronskian(matches)]

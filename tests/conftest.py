@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -67,3 +68,18 @@ def probe_calls(monkeypatch):
         if name.startswith("cosmo_qfi") and getattr(mod, "probe", None) is real:
             monkeypatch.setattr(mod, "probe", counted)
     return calls
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """A list that grows by the pid of every child forked through `os.fork`."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -292,19 +292,26 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
             "out.append(cosmo_qfi.probe is sys.modules['cosmo_qfi.probe'].probe)\n"
             "import cosmo_qfi.qfi, cosmo_qfi.verify; out.append(loaded())\n"
         ))
-    (verified,) = _loaded_after(
-        tmp_path, "main(['verify', '--points', '2', '--ode-points', '1']); out.append(loaded())\n")
+    # verify's oracle runs in this process only on one CPU, so pin it there
+    # first; then run one that forks its oracle worker where there is a second CPU
+    verified, verified_forked = _loaded_after(
+        tmp_path, (
+            "import os; cpus = os.sched_getaffinity(0); os.sched_setaffinity(0, {min(cpus)})\n"
+            "main(['verify', '--points', '2', '--ode-points', '1']); out.append(loaded())\n"
+            "os.sched_setaffinity(0, cpus)\n"
+            "main(['verify', '--points', '6', '--ode-points', '1']); out.append(loaded())\n"
+        ))
     # no module of the package, once all are loaded, pulls in NumPy or SciPy,
     # nor `typing`, `dataclasses`, `inspect` or `multiprocessing`, whose
     # imports alone cost milliseconds per command
     heavy = ("numpy", "scipy", "typing", "dataclasses", "inspect", "multiprocessing")
-    for loaded in (point, optimized, swept, forked, verified, everything):
+    for loaded in (point, optimized, swept, forked, verified, verified_forked, everything):
         assert not [m for m in loaded if m.split(".")[0] in heavy]
     for loaded in (point, optimized, swept):
         assert not {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} & set(loaded)
     assert {"cosmo_qfi.oracle", "cosmo_qfi.qfi", "cosmo_qfi.verify"} <= set(everything)
     assert "cosmo_qfi.probe" in point
-    assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(point)
+    assert not {"cosmo_qfi.sweeps", "concurrent.futures", "cosmo_qfi._fanout"} & set(point)
     assert "cosmo_qfi.sweeps" in optimized
     # the pure integrator, the one backend, loads only where the mode
     # equation is integrated: not for the closed-form commands, nor to read
@@ -313,9 +320,10 @@ def test_import_loads_neither_numpy_nor_scipy(tmp_path):
     for loaded in (point, optimized, swept, forked, backend_read, everything):
         assert "cosmo_qfi._kernel.pure" not in loaded
     assert "cosmo_qfi._kernel.pure" in verified
-    # the oracle runs on the calling thread: verify needs no sweep engine or pool
+    # verify shares the sweep's fan-out, but needs no sweep engine or pool
     assert "cosmo_qfi.verify" in verified
     assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(verified)
+    assert not {"cosmo_qfi.sweeps", "concurrent.futures"} & set(verified_forked)
     # loading sweeps and oracle later leaves the package's `probe` the function
     assert probe_is_function
 

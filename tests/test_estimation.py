@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from cosmo_qfi import (
+    CosmoQfiError,
     ModelParams,
     SweepSpec,
     _kernel,
@@ -194,9 +195,11 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_verify_integrates_each_oracle_point_once(kernel_calls):
+def test_verify_integrates_each_oracle_point_once(kernel_calls, monkeypatch):
     # one in-mode integration, split at the checkpoint, serves both the
-    # oracle check and the drift check
+    # oracle check and the drift check; on one CPU it runs in this process,
+    # where the calls are counted
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     results = verify.run_all(2, 3)
     assert all(r.passed for r in results)
     assert kernel_calls["integrate_pair_drift"] == 6  # two legs times three points
@@ -292,22 +295,13 @@ def test_explicit_thread_count_is_honoured(monkeypatch):
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, fork_pids):
     """Sweeps of 12 rows or more spread over 3 processes; the list of the
     children forked (by pid) grows as the sweep forks them."""
     monkeypatch.delenv("COSMO_QFI_THREADS", raising=False)
     monkeypatch.setattr(sweeps, "_MIN_ROWS_PER_WORKER", 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    real_fork, pids = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
+    return fork_pids
 
 
 def _no_children_left():
@@ -492,6 +486,74 @@ def test_the_callers_error_leaves_no_child_behind(forks, monkeypatch):
     with pytest.raises(_Boom):
         sweep(SweepSpec("m_tilde", 0.1, 8.0, 64, FIXED))
     assert len(forks) == 2 and _no_children_left()
+
+
+@pytest.fixture
+def verify_forks(monkeypatch, fork_pids):
+    """`verify.run_all` forks its oracle worker at any grid size, as on two
+    CPUs; the list of the children forked (by pid) grows as it forks them."""
+    monkeypatch.setattr(verify, "_MIN_FORK_GRID", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return fork_pids
+
+
+def _on_one_cpu(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("size", [(2, 3), (3, 2)])
+def test_forked_verify_gives_the_serial_results(verify_forks, monkeypatch, size):
+    forked = verify.run_all(*size)
+    assert len(verify_forks) == 1 and _no_children_left()
+    assert repr(forked) == repr(_on_one_cpu(monkeypatch, verify.run_all, *size))
+    assert len(verify_forks) == 1 and all(r.passed for r in forked)
+
+
+@pytest.mark.parametrize("fault", ["worker", "fork", "pipe"])
+def test_verify_integrates_a_lost_oracle_payload_itself(verify_forks, monkeypatch, fault):
+    # once the worker's integrations are taken, each fault loses them: the
+    # oracle fails in the child only, the fork fails, or the pipe fails
+    serial = _on_one_cpu(monkeypatch, verify.run_all, 2, 3)
+    caller, real, calls, lost = os.getpid(), verify.integrate_mode, [], []
+
+    def integrate_mode(p):
+        if os.getpid() == caller:
+            calls.append(p)
+        elif lost:
+            raise _Boom(p)
+        return real(p)
+
+    monkeypatch.setattr(verify, "integrate_mode", integrate_mode)
+    assert repr(verify.run_all(2, 3)) == repr(serial) and calls == []
+    lost.append(fault)
+    if fault != "worker":
+        def unavailable(*args):
+            raise OSError(24, f"no {fault} to spare")
+
+        monkeypatch.setattr(os, fault, unavailable)
+    assert repr(verify.run_all(2, 3)) == repr(serial)
+    assert len(calls) == 3 and _no_children_left()
+    assert len(verify_forks) == (2 if fault == "worker" else 1)
+
+
+def test_an_oracle_error_reaches_the_caller_of_a_forked_verify(verify_forks, monkeypatch):
+    # the point fails in the child and again in the caller, which raises it
+    def integrate_mode(p):
+        raise CosmoQfiError("out of the oracle's reach")
+
+    monkeypatch.setattr(verify, "integrate_mode", integrate_mode)
+    with pytest.raises(CosmoQfiError, match="oracle's reach"):
+        verify.run_all(2, 1)
+    assert len(verify_forks) == 1 and _no_children_left()
+
+
+@pytest.mark.parametrize("size, message", [((1, 1), "grid points"), ((2, 0), "oracle point")])
+def test_verify_rejects_its_counts_before_forking(verify_forks, probe_calls, size, message):
+    with pytest.raises(ValueError, match=message):
+        verify.run_all(*size)
+    assert verify_forks == [] and probe_calls == []
 
 
 def test_sweep_nan_qfi_point_becomes_nan_row():

@@ -9,6 +9,7 @@ worst values in the comments are at `verify`'s defaults (10 grid points per
 axis, 5 oracle points).
 """
 
+import os
 import sys
 
 import pytest
@@ -87,3 +88,15 @@ def test_fault_fails_its_rows(monkeypatch, fault):
     replacements, rows = FAULTS[fault]
     _patch(monkeypatch, replacements)
     assert rows <= _failed_rows()
+
+
+@pytest.mark.parametrize("fault", ["commutator dropped", "ln |B/A|^2 + 1e-3"])
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+def test_fault_fails_its_rows_forked_and_on_one_cpu(monkeypatch, fork_pids, fault, cpus):
+    # on two CPUs the oracle rows are computed in a forked worker, which
+    # inherits the fault; on one, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    replacements, rows = FAULTS[fault]
+    _patch(monkeypatch, replacements)
+    assert rows <= _failed_rows()
+    assert len(fork_pids) == len(cpus) - 1
